@@ -31,8 +31,12 @@ def _schedule_for(name: str, shape):
     raise ValueError(f"unknown schedule {name!r}")
 
 
-def _load_pairs(manifest_path):
-    return [img.pair for img in data.load_split(manifest_path)]
+def _load_pairs(path):
+    """Image pairs of a split, given its manifest or the directory holding it."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / "manifest.json"
+    return [img.pair for img in data.load_split(path)]
 
 
 def _write_json(path, obj) -> None:
@@ -171,13 +175,12 @@ def cmd_eval(args) -> int:
     params = _load_model(args.model)
     pairs = _load_pairs(args.data)
     schedule = _schedule_for(args.schedule, pairs[0][0].shape)
-    n_layers = args.iters
     accs = []
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    for i, (y, x_hat) in enumerate(pairs):
-        trace = mfn.forward(y, params, n_layers, schedule)
+    traces = mfn.forward_each(pairs, params, args.iters, schedule)
+    for i, (y, x_hat, trace) in enumerate(traces):
         pred = mfn.predict(trace).reshape(y.shape)
         accs.append(data.pixel_accuracy(pred, x_hat))
         if out_dir:
@@ -216,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train-crf", help="likelihood-train the baseline CRF")
-    p.add_argument("--data", required=True, help="train split manifest")
+    p.add_argument("--data", required=True, help="train split manifest or its directory")
     p.add_argument("--out", required=True, help="output parameter JSON")
     p.add_argument("--log", default=None, help="JSON-lines metrics log")
     p.add_argument("--steps", type=int, default=100)

@@ -193,13 +193,13 @@ def train_baseline(
     one row per step (plus the initial point) records the mean pixel
     accuracy of the marginals used for that step's gradient.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    theta_vec = theta_init.to_vector()
+    from .mfn import descend  # mfn imports this module
+
     images = [(np.asarray(y, dtype=np.float64), np.asarray(x).ravel()) for y, x in train_set]
     if schedule is None and images:
         schedule = checkerboard_schedule(*images[0][0].shape)
-    for step in range(steps + 1):
+
+    def objective(theta_vec):
         theta = CrfParams.from_vector(theta_vec)
         grad = np.zeros(theta_vec.shape)
         correct = 0
@@ -209,11 +209,10 @@ def train_baseline(
             grad += cl_gradient(y, x_hat, q, theta)
             correct += int(np.sum(np.argmax(q.probs, axis=1) == x_hat))
             total += x_hat.size
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"non-finite gradient at step {step}")
-        if log is not None:
-            log.append({"step": step, "train_accuracy": correct / max(total, 1)})
-        if step == steps:
-            break
-        theta_vec = theta_vec + learning_rate * grad
+        # Ascent on the likelihood is descent on its negation, without momentum.
+        return None, -grad, {"train_accuracy": correct / max(total, 1)}
+
+    theta_vec = descend(
+        objective, theta_init.to_vector(), steps, learning_rate, 0.0, log, final_eval=True
+    )
     return CrfParams.from_vector(theta_vec)

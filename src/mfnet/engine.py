@@ -120,15 +120,20 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
 
 
 def block_activations(
-    unary: np.ndarray, pairwise: np.ndarray, q: np.ndarray, st: BlockStep
+    unary: np.ndarray,
+    pairwise: np.ndarray,
+    st: BlockStep,
+    q_read_lo: np.ndarray,
+    q_read_hi: np.ndarray,
 ) -> np.ndarray:
-    """Pre-softmax activations for the block's sites under the current q."""
+    """Pre-softmax activations for the block's sites, given the q rows read
+    across its e_lo edges (`q[st.read_lo]`) and its e_hi edges (`q[st.read_hi]`)."""
     a = unary[st.verts].astype(np.float64, copy=True)
     if st.e_lo.size:
-        msg = np.einsum("ekl,el->ek", pairwise[st.e_lo], q[st.read_lo])
+        msg = np.einsum("ekl,el->ek", pairwise[st.e_lo], q_read_lo)
         np.add.at(a, st.pos_lo, msg)
     if st.e_hi.size:
-        msg = np.einsum("ekl,ek->el", pairwise[st.e_hi], q[st.read_hi])
+        msg = np.einsum("ekl,ek->el", pairwise[st.e_hi], q_read_hi)
         np.add.at(a, st.pos_hi, msg)
     return a
 
@@ -155,24 +160,24 @@ def run_unrolled(
     StepRecord per block step is appended, enough to replay the forward
     pass and to drive the reverse pass. `sweep_hook(sweep_index, q)` is
     called after each sweep when given.
+
+    Raises FloatingPointError when the final q is not finite.
     """
     q = np.array(q0, dtype=np.float64, copy=True)
     for m, (unary, pairwise) in enumerate(layers):
         for st in compiled.steps:
-            a = block_activations(unary, pairwise, q, st)
+            # Fancy indexing copies, so the tape can keep these reads as they are.
+            q_read_lo = q[st.read_lo]
+            q_read_hi = q[st.read_hi]
+            a = block_activations(unary, pairwise, st, q_read_lo, q_read_hi)
             q_new = row_softmax(a)
             if tape is not None:
-                tape.append(
-                    StepRecord(
-                        q_read_lo=q[st.read_lo].copy(),
-                        q_read_hi=q[st.read_hi].copy(),
-                        activations=a,
-                        q_out=q_new,
-                    )
-                )
+                tape.append(StepRecord(q_read_lo, q_read_hi, activations=a, q_out=q_new))
             q[st.verts] = q_new
         if sweep_hook is not None:
             sweep_hook(m, q)
+    if not np.all(np.isfinite(q)):
+        raise FloatingPointError("mean field produced non-finite marginals")
     return q
 
 

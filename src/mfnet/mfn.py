@@ -8,10 +8,8 @@ loss on the final activations.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,15 +109,7 @@ class ForwardTrace:
         for gs, rec in enumerate(self.tape):
             st = steps[gs % len(steps)]
             unary, pairwise = self.layer_potentials[gs // len(steps)]
-            a = unary[st.verts].astype(np.float64, copy=True)
-            if st.e_lo.size:
-                np.add.at(
-                    a, st.pos_lo, np.einsum("ekl,el->ek", pairwise[st.e_lo], rec.q_read_lo)
-                )
-            if st.e_hi.size:
-                np.add.at(
-                    a, st.pos_hi, np.einsum("ekl,ek->el", pairwise[st.e_hi], rec.q_read_hi)
-                )
+            a = engine.block_activations(unary, pairwise, st, rec.q_read_lo, rec.q_read_hi)
             q[st.verts] = row_softmax(a)
         return q
 
@@ -278,24 +268,63 @@ def sgd_momentum(
     return params_vec + v_new, v_new
 
 
-def _n_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("MFN_THREADS", "1")))
-    except ValueError:
-        return 1
+def descend(
+    objective: Callable[[np.ndarray], tuple],
+    vec: np.ndarray,
+    steps: int,
+    learning_rate: float,
+    momentum: float,
+    log: Optional[List[dict]] = None,
+    phase: Optional[str] = None,
+    final_eval: bool = False,
+) -> np.ndarray:
+    """Full-batch descent on `objective(vec) -> (loss or None, grad, log row fields)`.
 
+    Each step checks the objective's value, logs one row (`phase` when given,
+    `step`, then the fields) and takes one `sgd_momentum` step. `final_eval`
+    also evaluates and logs the parameters after the last step.
 
-def image_map(fn, items):
-    """Order-preserving per-image map; MFN_THREADS > 1 enables a thread pool."""
-    workers = _n_workers()
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
+    Raises FloatingPointError on a non-finite loss or gradient, or when the
+    loss rises above 10x the magnitude of the first nonzero loss.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    where = f"{phase}: " if phase else ""
+    velocity = None
+    scale = 0.0
+    for step in range(steps + 1 if final_eval else steps):
+        loss, grad, fields = objective(vec)
+        if (loss is not None and not np.isfinite(loss)) or not np.all(np.isfinite(grad)):
+            raise FloatingPointError(f"{where}training diverged at step {step}")
+        if loss is not None:
+            # Measured from the first nonzero loss: a hinge loss can be exactly 0.
+            if not scale:
+                scale = abs(loss)
+            elif loss > 10 * scale:
+                raise FloatingPointError(
+                    f"{where}loss exceeded 10x its initial value at step {step}"
+                )
+        if log is not None:
+            head = {} if phase is None else {"phase": phase}
+            log.append({**head, "step": step, **fields})
+        if step < steps:
+            vec, velocity = sgd_momentum(vec, grad, learning_rate, momentum, velocity)
+    return vec
 
 
 def _default_schedule(y: np.ndarray) -> Schedule:
     return checkerboard_schedule(*np.asarray(y).shape)
+
+
+def forward_each(
+    dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
+    params: MfnParams,
+    n_layers: int,
+    schedule: Optional[Schedule] = None,
+):
+    """Yield (y, x_hat, trace) per image; the schedule defaults to checkerboard."""
+    for y, x_hat in dataset:
+        yield y, x_hat, forward(y, params, n_layers, schedule or _default_schedule(y))
 
 
 def mean_kl_to_targets(
@@ -306,16 +335,15 @@ def mean_kl_to_targets(
     schedule: Optional[Schedule] = None,
 ) -> float:
     """Mean unnormalized KL of the network output against per-image target models."""
-    def one(item):
-        y, _ = item
-        sched = schedule or _default_schedule(y)
+    kls = []
+    for y, _, trace in forward_each(dataset, params, n_layers, schedule):
         target = build_mrf(y, target_theta)
-        trace = forward(y, params, n_layers, sched)
-        return unnormalized_kl_arrays(
-            trace.q_final, target.unary, target.pairwise, target.topology.edges
+        kls.append(
+            unnormalized_kl_arrays(
+                trace.q_final, target.unary, target.pairwise, target.topology.edges
+            )
         )
-
-    return float(np.mean(image_map(one, list(dataset))))
+    return float(np.mean(kls))
 
 
 def mean_accuracy(
@@ -325,13 +353,11 @@ def mean_accuracy(
     schedule: Optional[Schedule] = None,
 ) -> float:
     """Mean per-pixel accuracy of argmax decoding over a dataset."""
-    def one(item):
-        y, x_hat = item
-        sched = schedule or _default_schedule(y)
-        trace = forward(y, params, n_layers, sched)
-        return float(np.mean(predict(trace) == np.asarray(x_hat).reshape(-1)))
-
-    return float(np.mean(image_map(one, list(dataset))))
+    accs = [
+        float(np.mean(predict(trace) == np.asarray(x_hat).reshape(-1)))
+        for _, x_hat, trace in forward_each(dataset, params, n_layers, schedule)
+    ]
+    return float(np.mean(accs))
 
 
 def train_inference(
@@ -350,34 +376,21 @@ def train_inference(
     mean unnormalized KL of the network output against them.
     """
     images = [(np.asarray(y, dtype=np.float64), x) for y, x in train_set]
-    params = MfnParams.tied_from(theta_mf).untied_copy(n_layers)
-    if steps == 0:
-        return params
     targets = [build_mrf(y, theta_mf) for y, _ in images]
-    vec = params.to_vector()
-    velocity = None
-    for step in range(steps):
+
+    def objective(vec):
         params = MfnParams.from_vector(vec, tied=False, n_layers=n_layers)
-
-        def one(i):
-            y, _ = images[i]
-            sched = schedule or _default_schedule(y)
-            trace = forward(y, params, n_layers, sched)
-            t = targets[i]
-            loss = unnormalized_kl_arrays(
-                trace.q_final, t.unary, t.pairwise, t.topology.edges
+        losses, grads = [], []
+        for (y, _, trace), t in zip(forward_each(images, params, n_layers, schedule), targets):
+            losses.append(
+                unnormalized_kl_arrays(trace.q_final, t.unary, t.pairwise, t.topology.edges)
             )
-            grads = backward(trace, y, params, KlToTarget(t))
-            return loss, np.concatenate(grads)
+            grads.append(np.concatenate(backward(trace, y, params, KlToTarget(t))))
+        loss = float(np.mean(losses))
+        return loss, np.sum(grads, axis=0) / len(grads), {"loss": loss}
 
-        results = image_map(one, list(range(len(images))))
-        loss = float(np.mean([r[0] for r in results]))
-        grad = np.sum([r[1] for r in results], axis=0) / len(results)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"training diverged at step {step}")
-        if log is not None:
-            log.append({"step": step, "loss": loss})
-        vec, velocity = sgd_momentum(vec, grad, learning_rate, momentum, velocity)
+    vec = MfnParams.tied_from(theta_mf).untied_copy(n_layers).to_vector()
+    vec = descend(objective, vec, steps, learning_rate, momentum, log)
     return MfnParams.from_vector(vec, tied=False, n_layers=n_layers)
 
 
@@ -402,58 +415,21 @@ class DiscTrainResult:
 
 
 def _hinge_epoch(images, params, n_layers, schedule, c):
-    """One full-batch pass: mean hinge loss, mean gradient, mean accuracy."""
-    def one(item):
-        y, x_hat = item
+    """One full-batch pass: mean hinge loss, mean gradient and its log row fields."""
+    losses, grads, accs = [], [], []
+    for y, x_hat, trace in forward_each(images, params, n_layers, schedule):
         x_flat = np.asarray(x_hat).reshape(-1)
-        sched = schedule or _default_schedule(y)
-        trace = forward(y, params, n_layers, sched)
-        loss = hinge_loss(trace.a_final, x_flat, c)
-        grads = backward(trace, y, params, Hinge(c), x_flat)
-        acc = float(np.mean(predict(trace) == x_flat))
-        return loss, grads, acc
-
-    results = image_map(one, images)
-    n = len(results)
-    loss = float(np.mean([r[0] for r in results]))
-    n_grad_layers = len(results[0][1])
-    grads = [
-        np.sum([r[1][m] for r in results], axis=0) / n for m in range(n_grad_layers)
-    ]
-    acc = float(np.mean([r[2] for r in results]))
-    return loss, grads, acc
-
-
-def _run_hinge_phase(images, params, n_layers, schedule, steps, lr, momentum, c, log, tag):
-    vec = params.to_vector()
-    tied = params.tied
-    p_layers = len(params.layers)
-    velocity = None
-    initial_loss = None
-    for step in range(steps):
-        params = MfnParams.from_vector(vec, tied=tied, n_layers=p_layers)
-        loss, grads, acc = _hinge_epoch(images, params, n_layers, schedule, c)
-        grad = np.concatenate(grads)
-        if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"{tag}: training diverged at step {step}")
-        if initial_loss is None:
-            initial_loss = abs(loss)
-        elif abs(loss) > 10 * initial_loss:
-            raise FloatingPointError(
-                f"{tag}: loss exceeded 10x its initial value at step {step}"
-            )
-        if log is not None:
-            log.append(
-                {
-                    "phase": tag,
-                    "step": step,
-                    "loss": loss,
-                    "train_accuracy": acc,
-                    "grad_norms": [float(np.linalg.norm(g)) for g in grads],
-                }
-            )
-        vec, velocity = sgd_momentum(vec, grad, lr, momentum, velocity)
-    return MfnParams.from_vector(vec, tied=tied, n_layers=p_layers)
+        losses.append(hinge_loss(trace.a_final, x_flat, c))
+        grads.append(backward(trace, y, params, Hinge(c), x_flat))
+        accs.append(float(np.mean(predict(trace) == x_flat)))
+    loss = float(np.mean(losses))
+    layer_grads = np.sum(grads, axis=0) / len(grads)
+    fields = {
+        "loss": loss,
+        "train_accuracy": float(np.mean(accs)),
+        "grad_norms": [float(np.linalg.norm(g)) for g in layer_grads],
+    }
+    return loss, layer_grads.reshape(-1), fields
 
 
 def train_discriminative(
@@ -467,30 +443,29 @@ def train_discriminative(
     protocol = protocol or DiscProtocol()
     images = [(np.asarray(y, dtype=np.float64), x) for y, x in train_set]
     log: List[dict] = []
-    tied = MfnParams.tied_from(theta_mf)
-    tied = _run_hinge_phase(
-        images,
-        tied,
-        n_layers,
-        schedule,
+
+    def run_phase(params, steps, lr, momentum, phase):
+        shape = {"tied": params.tied, "n_layers": len(params.layers)}
+
+        def objective(vec):
+            p = MfnParams.from_vector(vec, **shape)
+            return _hinge_epoch(images, p, n_layers, schedule, protocol.c)
+
+        vec = descend(objective, params.to_vector(), steps, lr, momentum, log, phase)
+        return MfnParams.from_vector(vec, **shape)
+
+    tied = run_phase(
+        MfnParams.tied_from(theta_mf),
         protocol.phase1_steps,
         protocol.phase1_lr,
         protocol.phase1_momentum,
-        protocol.c,
-        log,
         "tied",
     )
-    untied = tied.untied_copy(n_layers)
-    untied = _run_hinge_phase(
-        images,
-        untied,
-        n_layers,
-        schedule,
+    untied = run_phase(
+        tied.untied_copy(n_layers),
         protocol.phase2_steps,
         protocol.phase2_lr,
         protocol.phase2_momentum,
-        protocol.c,
-        log,
         "untied",
     )
     return DiscTrainResult(params=untied, phase1_params=tied, log=log)

@@ -1,10 +1,13 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfnet import data
-from mfnet.cli import main
+from mfnet.cli import build_parser, main
 from mfnet.crf import theta0
 
 
@@ -138,6 +141,31 @@ class TestErrors:
                              "--data", str(tmp_path / "no_manifest.json"))
         assert code == 1
 
+    def test_split_directory_as_data(self, tiny_dataset, tmp_path, capsys):
+        out = tmp_path / "params.json"
+        code, _, _ = run_cli(capsys, "train-crf", "--data", str(tiny_dataset / "train"),
+                             "--out", str(out), "--steps", "0", "--mf-iters", "1")
+        assert code == 0
+        assert len(json.loads(out.read_text())["w"]) == 26
+
+    def test_directory_without_manifest_is_validation_failure(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "train-crf", "--data", str(tmp_path),
+                               "--out", str(tmp_path / "params.json"))
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval", "run-mf"])
+    def test_non_finite_inference_is_numerical_failure(self, tiny_dataset, tmp_path,
+                                                       capsys, command):
+        params = tmp_path / "big.json"
+        params.write_text(json.dumps({"w": [1e306] * 26, "p_h": 1e308, "p_v": 1e308}))
+        flag = "--model" if command == "eval" else "--params"
+        with np.errstate(all="ignore"):
+            code, out, _ = run_cli(capsys, command, flag, str(params), "--data",
+                                   str(tiny_dataset / "test"), "--iters", "3")
+        assert code == 2
+        assert out == ""
+
 
 class TestGradCheckCommand:
     def test_small_config_passes(self, capsys):
@@ -147,3 +175,14 @@ class TestGradCheckCommand:
         report = json.loads(out)
         assert report["max_rel_err"] < 1e-4
         assert {r["loss"] for r in report["configs"]} == {"kl", "hinge"}
+
+
+class TestReadme:
+    def test_walkthrough_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## CLI walkthrough\n+```\n(.*?)```", readme, re.S).group(1)
+        commands = [shlex.split(line) for line in block.splitlines()
+                    if line.startswith("mfn ")]
+        assert len(commands) == 7
+        for argv in commands:
+            build_parser().parse_args(argv[1:])

@@ -244,6 +244,39 @@ class TestSgdMomentum:
             assert loss_of(new) <= loss_of(params) + 1e-12
 
 
+class TestDescend:
+    @staticmethod
+    def fake(losses):
+        """Objective reporting the given losses in turn, with a unit gradient."""
+        it = iter(losses)
+
+        def objective(vec):
+            loss = next(it)
+            return loss, np.ones_like(vec), {"loss": loss}
+
+        return objective
+
+    def test_zero_initial_loss_is_no_divergence(self):
+        log = []
+        mfn.descend(self.fake([0.0, 0.5]), np.zeros(2), 2, 0.1, 0.0, log)
+        assert [r["loss"] for r in log] == [0.0, 0.5]
+
+    def test_tenfold_growth_from_nonzero_start_raises(self):
+        with pytest.raises(FloatingPointError):
+            mfn.descend(self.fake([1.0, 10.5]), np.zeros(2), 2, 0.1, 0.0)
+
+    def test_non_finite_loss_raises(self):
+        with pytest.raises(FloatingPointError):
+            mfn.descend(self.fake([np.nan]), np.zeros(2), 1, 0.1, 0.0)
+
+    def test_log_rows_and_final_evaluation(self):
+        log = []
+        vec = mfn.descend(self.fake([3.0, 2.0, 1.0]), np.zeros(2), 2, 0.5, 0.0, log,
+                          phase="tied", final_eval=True)
+        assert log == [{"phase": "tied", "step": s, "loss": 3.0 - s} for s in range(3)]
+        np.testing.assert_array_equal(vec, [-1.0, -1.0])
+
+
 class TestParamsSerialization:
     def test_json_round_trip(self, rng):
         params = MfnParams(tied=False, layers=[random_theta(rng) for _ in range(3)])
