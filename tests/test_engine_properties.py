@@ -4,10 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mfnet import meanfield
+from mfnet import engine, meanfield
 from mfnet.engine import BlockParallel, Sequential
 from mfnet.mfn import forward_mrfs
-from mfnet.mrf import GraphTopology, PairwiseMRF, softmax_init
+from mfnet.mrf import (
+    FactorialDistribution,
+    GraphTopology,
+    PairwiseMRF,
+    row_softmax,
+    softmax_init,
+)
 
 POTENTIAL = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -69,3 +75,74 @@ def test_replay_equals_forward(problem):
     mrfs, schedule = problem
     trace = forward_mrfs(mrfs, schedule)
     np.testing.assert_array_equal(trace.replay(), trace.q_final)
+
+
+def _final_activations(compiled, tape, n_layers):
+    """Each site's activations from its last update in the last layer."""
+    a = np.zeros((compiled.topology.n_vertices, tape[0].activations.shape[1]))
+    n_steps = len(compiled.steps)
+    for ls, step in enumerate(compiled.steps):
+        a[step.verts] = tape[(n_layers - 1) * n_steps + ls].activations
+    return a
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.sampled_from(["q", "a", "both"]), st.integers(0, 2**32 - 1))
+def test_backward_matches_finite_differences(problem, seeds, seed):
+    mrfs, schedule = problem
+    mrfs = mrfs[:3]
+    rng = np.random.default_rng(seed)
+    topo = mrfs[0].topology
+    compiled = engine.compile_schedule(topo, schedule)
+    n, K = mrfs[0].unary.shape
+    gq = rng.normal(size=(n, K)) if seeds in ("q", "both") else None
+    ga = rng.normal(size=(n, K)) if seeds in ("a", "both") else None
+    layers = [(m.unary.copy(), m.pairwise.copy()) for m in mrfs]
+    q0 = rng.dirichlet(np.ones(K), size=n)
+
+    def loss():
+        tape = []
+        q = engine.run_unrolled(layers, q0, compiled, tape=tape)
+        total = float(np.sum(gq * q)) if gq is not None else 0.0
+        if ga is not None:
+            total += float(np.sum(ga * _final_activations(compiled, tape, len(layers))))
+        return total
+
+    tape = []
+    engine.run_unrolled(layers, q0, compiled, tape=tape)
+    dunary, dpair, gq0 = engine.backward_unrolled(layers, compiled, tape, gq, ga)
+
+    h = 1e-6
+
+    def numeric(arr):
+        out = np.zeros_like(arr)
+        for idx in np.ndindex(arr.shape):
+            saved = arr[idx]
+            arr[idx] = saved + h
+            up = loss()
+            arr[idx] = saved - h
+            down = loss()
+            arr[idx] = saved
+            out[idx] = (up - down) / (2 * h)
+        return out
+
+    for m, (unary, pairwise) in enumerate(layers):
+        np.testing.assert_allclose(dunary[m], numeric(unary), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(dpair[m], numeric(pairwise), rtol=1e-5, atol=1e-6)
+    np.testing.assert_allclose(gq0, numeric(q0), rtol=1e-5, atol=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_run_unrolled_matches_site_updates(problem):
+    mrfs, schedule = problem
+    q = row_softmax(mrfs[0].unary)
+    q0 = q.copy()
+    for m in mrfs:
+        for block in schedule.blocks():
+            before = FactorialDistribution(q.copy())
+            for v in block:
+                q[v] = meanfield.site_update(m, before, v)
+    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    out = engine.run_unrolled([(m.unary, m.pairwise) for m in mrfs], q0, compiled)
+    np.testing.assert_allclose(out, q, rtol=0, atol=1e-12)
