@@ -288,7 +288,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
     try:
-        return args.func(args)
+        # Non-finite results are detected where they arise (the engine and
+        # the descent loop) and reported below as one line, without numpy's
+        # floating-point warnings ahead of it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -179,7 +179,13 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    dtype = np.uint8 if maxval < 256 else ">u2"
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    expected = width * height * dtype.itemsize
+    if len(raw) - pos != expected:
+        raise ValueError(
+            f"{path}: expected {expected} bytes of pixel data for "
+            f"{width}x{height}, found {len(raw) - pos}"
+        )
     arr = np.frombuffer(raw[pos:], dtype=dtype).reshape(height, width)
     return arr.astype(np.int64), maxval
 

@@ -10,7 +10,9 @@ tape recorded here is what the reverse pass consumes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,8 +47,13 @@ def raster_schedule(n_vertices: int) -> Sequential:
     return Sequential(tuple(range(n_vertices)))
 
 
+@lru_cache(maxsize=8)
 def checkerboard_schedule(height: int, width: int) -> BlockParallel:
-    """Two-block parity schedule for a 4-connected height x width grid."""
+    """Two-block parity schedule for a 4-connected height x width grid.
+
+    Cached per size: schedules are immutable, and callers that build one
+    per image then share the compiled form without comparing block tuples.
+    """
     idx = np.arange(height * width)
     parity = (idx // width + idx % width) % 2
     black = tuple(int(v) for v in idx[parity == 0])
@@ -54,30 +61,70 @@ def checkerboard_schedule(height: int, width: int) -> BlockParallel:
     return BlockParallel((black, white))
 
 
-def validate_schedule(topology: GraphTopology, schedule: Schedule) -> None:
-    seen = np.concatenate([np.asarray(b, dtype=np.int64) for b in schedule.blocks()])
-    if len(seen) != topology.n_vertices or len(np.unique(seen)) != len(seen):
+def validate_schedule(topology: GraphTopology, schedule: Schedule) -> np.ndarray:
+    """Check that the schedule updates every vertex exactly once; returns
+    the vertices in update order."""
+    n = topology.n_vertices
+    seen = np.fromiter(chain.from_iterable(schedule.blocks()), dtype=np.int64)
+    if len(seen) != n:
         raise ValueError("schedule must cover every vertex exactly once")
-    if seen.min() < 0 or seen.max() >= topology.n_vertices:
+    if seen.min() < 0 or seen.max() >= n:
         raise ValueError("schedule vertex out of range")
+    if np.bincount(seen, minlength=n).max() != 1:
+        raise ValueError("schedule must cover every vertex exactly once")
+    return seen
 
 
 @dataclass(frozen=True, eq=False)
 class BlockStep:
-    verts: np.ndarray    # (B,) vertices updated in this step
-    e_lo: np.ndarray     # edges whose lower endpoint is updated here
-    pos_lo: np.ndarray   # index of that endpoint within verts
-    read_lo: np.ndarray  # the opposite (read) endpoints for e_lo
+    """One block of a sweep and the directed messages into it.
+
+    Every edge carries one message into each endpoint. Message d of this step
+    reads site `reads[read_idx[d]]` through oriented table `msgs.start + d`
+    of `CompiledSchedule.tables(pairwise)` and adds into block position
+    `pos[d]`.
+    """
+
+    verts: np.ndarray     # (B,) vertices updated in this step
+    # Edges whose lower / upper endpoint is updated here; the kernels use the
+    # message fields below, perfbench/layers.py counts messages from these.
+    e_lo: np.ndarray
     e_hi: np.ndarray
-    pos_hi: np.ndarray
-    read_hi: np.ndarray
+    msgs: slice           # this step's messages, in compiled message order
+    pos: np.ndarray       # (M,) block position each message adds into
+    reads: np.ndarray     # (R,) distinct sites the messages read
+    read_idx: np.ndarray  # (M,) index of each message's read site in reads
+    _flat: dict = field(default_factory=dict, repr=False)
+
+    def flat_index(self, into: str, K: int) -> np.ndarray:
+        """`bincount` bins of each (message, label) entry: block rows for
+        into="block", rows of `reads` for into="reads"; built once per K."""
+        idx = self._flat.get((into, K))
+        if idx is None:
+            rows = self.pos if into == "block" else self.read_idx
+            idx = self._flat[into, K] = (rows[:, None] * K + np.arange(K)).ravel()
+        return idx
 
 
 @dataclass(frozen=True, eq=False)
 class CompiledSchedule:
     topology: GraphTopology
     steps: Tuple[BlockStep, ...]
-    last_step_of_site: np.ndarray  # (n,) index of the step that last writes a site
+    # (2E,) oriented table of every message in step order: e for the message
+    # into the lower endpoint of edge e, E + e for the one into its upper one.
+    table_order: np.ndarray
+    message_of_table: np.ndarray  # (2E,) inverse permutation of table_order
+
+    def tables(self, pairwise: np.ndarray) -> np.ndarray:
+        """(2E, K, K) message tables in step order; each step reads a slice."""
+        oriented = np.concatenate([pairwise, pairwise.transpose(0, 2, 1)])
+        return oriented.take(self.table_order, axis=0)
+
+    def fold(self, dtables: np.ndarray) -> np.ndarray:
+        """Gradient for `tables(pairwise)` -> gradient for pairwise (E, K, K)."""
+        oriented = dtables.take(self.message_of_table, axis=0)
+        E = self.topology.n_edges
+        return oriented[:E] + oriented[E:].transpose(0, 2, 1)
 
 
 _compile_cache: dict = {}
@@ -88,60 +135,88 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     cached = _compile_cache.get(key)
     if cached is not None and cached.topology is topology:
         return cached
-    validate_schedule(topology, schedule)
-    edges = topology.edges
-    lo = edges[:, 0] if len(edges) else np.zeros(0, dtype=np.int64)
-    hi = edges[:, 1] if len(edges) else np.zeros(0, dtype=np.int64)
-    steps = []
-    last = np.full(topology.n_vertices, -1, dtype=np.int64)
-    for i, block in enumerate(schedule.blocks()):
-        verts = np.asarray(block, dtype=np.int64)
-        pos_of = np.full(topology.n_vertices, -1, dtype=np.int64)
-        pos_of[verts] = np.arange(len(verts))
-        in_lo = np.nonzero(pos_of[lo] >= 0)[0] if len(edges) else np.zeros(0, np.int64)
-        in_hi = np.nonzero(pos_of[hi] >= 0)[0] if len(edges) else np.zeros(0, np.int64)
-        steps.append(
-            BlockStep(
-                verts=verts,
-                e_lo=in_lo,
-                pos_lo=pos_of[lo[in_lo]],
-                read_lo=hi[in_lo],
-                e_hi=in_hi,
-                pos_hi=pos_of[hi[in_hi]],
-                read_hi=lo[in_hi],
-            )
+    verts = validate_schedule(topology, schedule)
+    n, E = topology.n_vertices, topology.n_edges
+    blocks = schedule.blocks()
+    sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+    v_start = np.concatenate([[0], np.cumsum(sizes)])
+    step_of = np.empty(n, dtype=np.int64)
+    step_of[verts] = np.repeat(np.arange(len(blocks)), sizes)
+    pos_of = np.empty(n, dtype=np.int64)
+    pos_of[verts] = np.arange(n) - np.repeat(v_start[:-1], sizes)
+
+    # All 2E messages, grouped by the step that writes their target; the
+    # stable sort keeps the messages into lower endpoints first in each step.
+    lo, hi = topology.edges[:, 0], topology.edges[:, 1]
+    target, read = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    order = np.argsort(step_of[target], kind="stable")
+    m_step = step_of[target[order]]
+    m_start = np.searchsorted(m_step, np.arange(len(blocks) + 1))
+    m_mid = m_start[:-1] + np.bincount(step_of[lo], minlength=len(blocks))
+    edge = np.where(order < E, order, order - E)
+    pos = pos_of[target[order]]
+    # Distinct read sites per step, from one sort of (step, read site) keys.
+    keys, inverse = np.unique(m_step * n + read[order], return_inverse=True)
+    r_start = np.searchsorted(keys // n, np.arange(len(blocks) + 1))
+    reads = keys % n
+    read_idx = inverse.reshape(-1) - r_start[m_step]
+
+    v_start, m_start, m_mid, r_start = (
+        a.tolist() for a in (v_start, m_start, m_mid, r_start)
+    )
+    steps = tuple(
+        BlockStep(
+            verts=verts[v_start[i] : v_start[i + 1]],
+            e_lo=edge[m_start[i] : m_mid[i]],
+            e_hi=edge[m_mid[i] : m_start[i + 1]],
+            msgs=slice(m_start[i], m_start[i + 1]),
+            pos=pos[m_start[i] : m_start[i + 1]],
+            reads=reads[r_start[i] : r_start[i + 1]],
+            read_idx=read_idx[m_start[i] : m_start[i + 1]],
         )
-        last[verts] = i
-    compiled = CompiledSchedule(topology=topology, steps=tuple(steps), last_step_of_site=last)
+        for i in range(len(blocks))
+    )
+    compiled = CompiledSchedule(
+        topology=topology,
+        steps=steps,
+        table_order=order,
+        message_of_table=np.argsort(order),
+    )
     if len(_compile_cache) > 64:
         _compile_cache.clear()
     _compile_cache[key] = compiled
     return compiled
 
 
+def layer_tables(
+    compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> list:
+    """`compiled.tables` of each layer, built once per distinct pairwise array."""
+    built: dict = {}
+    out = []
+    for _, pairwise in layers:
+        tables = built.get(id(pairwise))
+        if tables is None:
+            tables = built[id(pairwise)] = compiled.tables(pairwise)
+        out.append(tables)
+    return out
+
+
 def block_activations(
-    unary: np.ndarray,
-    pairwise: np.ndarray,
-    st: BlockStep,
-    q_read_lo: np.ndarray,
-    q_read_hi: np.ndarray,
+    unary: np.ndarray, tables: np.ndarray, st: BlockStep, q_read: np.ndarray
 ) -> np.ndarray:
-    """Pre-softmax activations for the block's sites, given the q rows read
-    across its e_lo edges (`q[st.read_lo]`) and its e_hi edges (`q[st.read_hi]`)."""
-    a = unary[st.verts].astype(np.float64, copy=True)
-    if st.e_lo.size:
-        msg = np.einsum("ekl,el->ek", pairwise[st.e_lo], q_read_lo)
-        np.add.at(a, st.pos_lo, msg)
-    if st.e_hi.size:
-        msg = np.einsum("ekl,ek->el", pairwise[st.e_hi], q_read_hi)
-        np.add.at(a, st.pos_hi, msg)
-    return a
+    """Pre-softmax activations for the block's sites, given its layer's
+    `compiled.tables(pairwise)` and the q rows of its read sites (`q[st.reads]`)."""
+    K = unary.shape[1]
+    # `take` along rows: numpy's fancy indexing is several times slower here.
+    msg = np.einsum("dkl,dl->dk", tables[st.msgs], q_read.take(st.read_idx, axis=0))
+    sums = np.bincount(st.flat_index("block", K), msg.ravel(), minlength=st.verts.size * K)
+    return unary.take(st.verts, axis=0) + sums.reshape(-1, K)
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    q_read_lo: np.ndarray  # values read across e_lo edges, (|e_lo|, K)
-    q_read_hi: np.ndarray
+    q_read: np.ndarray       # q rows of the step's read sites, (R, K)
     activations: np.ndarray  # (B, K)
     q_out: np.ndarray        # (B, K)
 
@@ -164,15 +239,14 @@ def run_unrolled(
     Raises FloatingPointError when the final q is not finite.
     """
     q = np.array(q0, dtype=np.float64, copy=True)
-    for m, (unary, pairwise) in enumerate(layers):
+    for m, ((unary, _), tables) in enumerate(zip(layers, layer_tables(compiled, layers))):
         for st in compiled.steps:
-            # Fancy indexing copies, so the tape can keep these reads as they are.
-            q_read_lo = q[st.read_lo]
-            q_read_hi = q[st.read_hi]
-            a = block_activations(unary, pairwise, st, q_read_lo, q_read_hi)
+            # `take` copies, so the tape can keep this read as it is.
+            q_read = q.take(st.reads, axis=0)
+            a = block_activations(unary, tables, st, q_read)
             q_new = row_softmax(a)
             if tape is not None:
-                tape.append(StepRecord(q_read_lo, q_read_hi, activations=a, q_out=q_new))
+                tape.append(StepRecord(q_read, activations=a, q_out=q_new))
             q[st.verts] = q_new
         if sweep_hook is not None:
             sweep_hook(m, q)
@@ -203,8 +277,11 @@ def backward_unrolled(
         raise ValueError("tape length does not match layers and schedule")
     topo = compiled.topology
     K = layers[0][0].shape[1]
-    dunary = [np.zeros_like(layers[m][0]) for m in range(n_layers)]
-    dpair = [np.zeros_like(layers[m][1]) for m in range(n_layers)]
+    tables = layer_tables(compiled, layers)
+    # A sweep updates every site once and sends every message once, so each
+    # entry of these is written exactly once per layer.
+    dunary = [np.empty_like(unary, dtype=np.float64) for unary, _ in layers]
+    dtables = [np.empty_like(t) for t in tables]
     gq = (
         np.array(gq_final, dtype=np.float64, copy=True)
         if gq_final is not None
@@ -214,21 +291,18 @@ def backward_unrolled(
         m, ls = divmod(gs, n_steps)
         st = compiled.steps[ls]
         rec = tape[gs]
-        pairwise = layers[m][1]
-        g_b = gq[st.verts].copy()
+        g_b = gq.take(st.verts, axis=0)
         qo = rec.q_out
         da = qo * (g_b - np.sum(g_b * qo, axis=1, keepdims=True))
         if ga_final is not None and m == n_layers - 1:
-            is_last = compiled.last_step_of_site[st.verts] == ls
-            da = da + np.where(is_last[:, None], ga_final[st.verts], 0.0)
+            da += ga_final.take(st.verts, axis=0)
         gq[st.verts] = 0.0
-        np.add.at(dunary[m], st.verts, da)
-        if st.e_lo.size:
-            da_lo = da[st.pos_lo]
-            np.add.at(dpair[m], st.e_lo, np.einsum("ek,el->ekl", da_lo, rec.q_read_lo))
-            np.add.at(gq, st.read_lo, np.einsum("ekl,ek->el", pairwise[st.e_lo], da_lo))
-        if st.e_hi.size:
-            da_hi = da[st.pos_hi]
-            np.add.at(dpair[m], st.e_hi, np.einsum("ek,el->ekl", rec.q_read_hi, da_hi))
-            np.add.at(gq, st.read_hi, np.einsum("ekl,el->ek", pairwise[st.e_hi], da_hi))
-    return dunary, dpair, gq
+        dunary[m][st.verts] = da
+        da_msg = da.take(st.pos, axis=0)
+        q_msg = rec.q_read.take(st.read_idx, axis=0)
+        dtables[m][st.msgs] = np.einsum("dk,dl->dkl", da_msg, q_msg)
+        g_read = np.einsum("dkl,dk->dl", tables[m][st.msgs], da_msg)
+        gq[st.reads] += np.bincount(
+            st.flat_index("reads", K), g_read.ravel(), minlength=st.reads.size * K
+        ).reshape(-1, K)
+    return dunary, [compiled.fold(d) for d in dtables], gq

@@ -106,10 +106,11 @@ class ForwardTrace:
         """Recompute the output from recorded reads; must match q_final exactly."""
         q = self.q0.copy()
         steps = self.compiled.steps
+        tables = engine.layer_tables(self.compiled, self.layer_potentials)
         for gs, rec in enumerate(self.tape):
-            st = steps[gs % len(steps)]
-            unary, pairwise = self.layer_potentials[gs // len(steps)]
-            a = engine.block_activations(unary, pairwise, st, rec.q_read_lo, rec.q_read_hi)
+            m, ls = divmod(gs, len(steps))
+            st = steps[ls]
+            a = engine.block_activations(self.layer_potentials[m][0], tables[m], st, rec.q_read)
             q[st.verts] = row_softmax(a)
         return q
 
@@ -146,7 +147,10 @@ def forward(
     if not params.tied and len(params.layers) != n_layers:
         raise ValueError("untied parameters must provide one entry per layer")
     y = np.asarray(y, dtype=np.float64)
-    mrfs = [build_mrf(y, params.layer(m)) for m in range(n_layers)]
+    if params.tied:
+        mrfs = [build_mrf(y, params.layer(0))] * n_layers
+    else:
+        mrfs = [build_mrf(y, p) for p in params.layers]
     compiled = engine.compile_schedule(mrfs[0].topology, schedule)
     return _unroll([(m.unary, m.pairwise) for m in mrfs], compiled)
 
@@ -166,13 +170,14 @@ def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != target.unary.shape:
         raise ValueError("q shape does not match target model")
-    g = np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary
-    edges = target.topology.edges
-    if len(edges):
-        lo, hi = edges[:, 0], edges[:, 1]
-        np.subtract.at(g, lo, np.einsum("ekl,el->ek", target.pairwise, q[hi]))
-        np.subtract.at(g, hi, np.einsum("ekl,ek->el", target.pairwise, q[lo]))
-    return g
+    lo, hi = target.topology.edges[:, 0], target.topology.edges[:, 1]
+    K = q.shape[1]
+    # One message into each endpoint of every edge, summed per site.
+    into_lo = np.einsum("ekl,el->ek", target.pairwise, q[hi])
+    into_hi = np.einsum("ekl,ek->el", target.pairwise, q[lo])
+    bins = (np.concatenate([lo, hi])[:, None] * K + np.arange(K)).ravel()
+    sums = np.bincount(bins, np.concatenate([into_lo, into_hi]).ravel(), minlength=q.size)
+    return np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary - sums.reshape(q.shape)
 
 
 def _hinge_scores(a: np.ndarray, x_hat: np.ndarray, c: float) -> np.ndarray:
@@ -196,8 +201,8 @@ def hinge_grad_a(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> np.ndarray
     k_star = np.argmax(_hinge_scores(a, x_hat, c), axis=1)
     g = np.zeros_like(a)
     rows = np.arange(len(a))
-    np.add.at(g, (rows, k_star), 1.0)
-    np.add.at(g, (rows, x_hat), -1.0)
+    g[rows, k_star] = 1.0
+    g[rows, x_hat] -= 1.0
     return g
 
 
@@ -312,10 +317,6 @@ def descend(
     return vec
 
 
-def _default_schedule(y: np.ndarray) -> Schedule:
-    return checkerboard_schedule(*np.asarray(y).shape)
-
-
 def forward_each(
     dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
     params: MfnParams,
@@ -324,7 +325,8 @@ def forward_each(
 ):
     """Yield (y, x_hat, trace) per image; the schedule defaults to checkerboard."""
     for y, x_hat in dataset:
-        yield y, x_hat, forward(y, params, n_layers, schedule or _default_schedule(y))
+        sched = schedule or checkerboard_schedule(*np.shape(y))
+        yield y, x_hat, forward(y, params, n_layers, sched)
 
 
 def mean_kl_to_targets(

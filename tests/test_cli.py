@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +168,21 @@ class TestErrors:
                                    str(tiny_dataset / "test"), "--iters", "3")
         assert code == 2
         assert out == ""
+
+    def test_numerical_failure_prints_one_line(self, tiny_dataset, tmp_path):
+        params = tmp_path / "big.json"
+        params.write_text(json.dumps({"w": [1e306] * 26, "p_h": 1e308, "p_v": 1e308}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfnet.cli", "eval", "--model", str(params),
+             "--data", str(tiny_dataset / "test"), "--iters", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestGradCheckCommand:

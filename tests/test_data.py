@@ -98,6 +98,20 @@ class TestPgmIo:
         assert maxval == 65535
         np.testing.assert_array_equal(back, arr)
 
+    def test_truncated_file_names_path_and_sizes(self, tmp_path):
+        train, _ = generate_dataset(n=1, seed=0)
+        save_split(train, tmp_path, {})
+        path = tmp_path / "img_000_input.pgm"
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        expected = 2 * data.DEFAULT_H * data.DEFAULT_W  # 16-bit pixels
+        found = len(raw) // 2 - (len(raw) - expected)
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value) == (
+            f"{path}: expected {expected} bytes of pixel data for 100x50, found {found}"
+        )
+
     def test_save_load_split(self, tmp_path):
         train, _ = generate_dataset(n=2, seed=5)
         manifest = save_split(
