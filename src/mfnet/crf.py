@@ -152,7 +152,7 @@ def cl_gradient(
     lo = grid.topology.edges[:, 0]
     hi = grid.topology.edges[:, 1]
     agree = (x_hat[lo] == x_hat[hi]).astype(np.float64)
-    expected_agree = np.sum(q.probs[lo] * q.probs[hi], axis=1)
+    expected_agree = np.sum(q.probs.take(lo, axis=0) * q.probs.take(hi, axis=0), axis=1)
     per_edge = agree - expected_agree
     dp_h = float(per_edge[grid.horizontal].sum())
     dp_v = float(per_edge[~grid.horizontal].sum())

@@ -7,13 +7,21 @@ singleton blocks, so each update sees all earlier updates in the sweep.
 
 The same step loop runs plain mean field and the unrolled network; the
 tape recorded here is what the reverse pass consumes.
+
+Layout: callers pass and receive per-site arrays as (n, K), but inside the
+forward and reverse passes every per-site array is label-major: q, unary
+potentials and their gradients are (K, n), message tables are (K, K, 2E)
+and tape arrays are (K, rows). With K small and a block step touching
+thousands of sites, each softmax, reduction and product then runs over
+long contiguous rows instead of a length-K last axis, and block writes go
+through one flat index (`k * n + site`) per step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,9 +88,9 @@ class BlockStep:
     """One block of a sweep and the directed messages into it.
 
     Every edge carries one message into each endpoint. Message d of this step
-    reads site `reads[read_idx[d]]` through oriented table `msgs.start + d`
-    of `CompiledSchedule.tables(pairwise)` and adds into block position
-    `pos[d]`.
+    reads site `reads[read_idx[d]]` through oriented table
+    `[:, :, msgs.start + d]` of `CompiledSchedule.tables(pairwise)` and adds
+    into block position `pos[d]`.
     """
 
     verts: np.ndarray     # (B,) vertices updated in this step
@@ -94,16 +102,16 @@ class BlockStep:
     pos: np.ndarray       # (M,) block position each message adds into
     reads: np.ndarray     # (R,) distinct sites the messages read
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
-    _flat: dict = field(default_factory=dict, repr=False)
 
-    def flat_index(self, into: str, K: int) -> np.ndarray:
-        """`bincount` bins of each (message, label) entry: block rows for
-        into="block", rows of `reads` for into="reads"; built once per K."""
-        idx = self._flat.get((into, K))
-        if idx is None:
-            rows = self.pos if into == "block" else self.read_idx
-            idx = self._flat[into, K] = (rows[:, None] * K + np.arange(K)).ravel()
-        return idx
+
+class StepIndex(NamedTuple):
+    """One block step's flat indices into label-major arrays for K labels;
+    each lists label 0's entries, then label 1's, and so on."""
+
+    verts: np.ndarray     # (K*B,) k * n + block site: the block in a (K, n) array
+    reads: np.ndarray     # (K*R,) k * n + read site: the read sites in a (K, n) array
+    pos: np.ndarray       # (K*M,) k * B + pos: `bincount` bins of (K, M) messages
+    read_idx: np.ndarray  # (K*M,) k * R + read_idx: bins of (K, M) messages by read site
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,18 +121,65 @@ class CompiledSchedule:
     # (2E,) oriented table of every message in step order: e for the message
     # into the lower endpoint of edge e, E + e for the one into its upper one.
     table_order: np.ndarray
-    message_of_table: np.ndarray  # (2E,) inverse permutation of table_order
+    _table_index: dict = field(default_factory=dict, repr=False)
+    _flat_index: dict = field(default_factory=dict, repr=False)
+
+    def flat_index(self, K: int) -> List[StepIndex]:
+        """The StepIndex of every step for K labels, built once per K as
+        views into four schedule-wide arrays."""
+        index = self._flat_index.get(K)
+        if index is None:
+            steps, n = self.steps, self.topology.n_vertices
+            B, R, M = (np.array([getattr(st, f).size for st in steps], dtype=np.int64)
+                       for f in ("verts", "reads", "pos"))
+            m_step = np.repeat(np.arange(len(steps)), M)
+
+            def laid_out(name, sizes, stride):
+                # Step after step, the (K, size) block of k * stride + the step's values.
+                values = np.concatenate([getattr(st, name) for st in steps])
+                ends = np.cumsum(sizes)
+                start = np.repeat(ends - sizes, sizes)
+                k = np.arange(K)[:, None]
+                at = K * start + k * np.repeat(sizes, sizes) + np.arange(values.size) - start
+                out = np.empty(K * values.size, dtype=np.int64)
+                out[at] = k * stride + values
+                bounds = (K * ends).tolist()
+                return [out[a:b] for a, b in zip([0] + bounds, bounds)]
+
+            index = self._flat_index[K] = list(map(
+                StepIndex,
+                laid_out("verts", B, n),
+                laid_out("reads", R, n),
+                laid_out("pos", M, B[m_step]),
+                laid_out("read_idx", M, R[m_step]),
+            ))
+        return index
+
+    def table_index(self, K: int) -> np.ndarray:
+        """(K, K, 2E) flat (E, K, K) pairwise entry behind each table entry;
+        built once per K."""
+        idx = self._table_index.get(K)
+        if idx is None:
+            E = self.topology.n_edges
+            upper = self.table_order >= E
+            base = (self.table_order - E * upper) * K * K
+            k, l = np.arange(K)[:, None, None], np.arange(K)[None, :, None]
+            idx = self._table_index[K] = np.where(upper, base + l * K + k, base + k * K + l)
+        return idx
 
     def tables(self, pairwise: np.ndarray) -> np.ndarray:
-        """(2E, K, K) message tables in step order; each step reads a slice."""
-        oriented = np.concatenate([pairwise, pairwise.transpose(0, 2, 1)])
-        return oriented.take(self.table_order, axis=0)
+        """(K, K, 2E) message tables in step order; each step reads a slice
+        of the last axis. Entry [k, l, d] weights label l of message d's read
+        site into label k of its target."""
+        idx = self.table_index(pairwise.shape[1])
+        return np.asarray(pairwise, dtype=np.float64).reshape(-1).take(idx)
 
     def fold(self, dtables: np.ndarray) -> np.ndarray:
-        """Gradient for `tables(pairwise)` -> gradient for pairwise (E, K, K)."""
-        oriented = dtables.take(self.message_of_table, axis=0)
-        E = self.topology.n_edges
-        return oriented[:E] + oriented[E:].transpose(0, 2, 1)
+        """Gradient for `tables(pairwise)` -> gradient for pairwise (E, K, K):
+        each pairwise entry sums its two oriented copies."""
+        E, K = self.topology.n_edges, dtables.shape[0]
+        sums = np.bincount(self.table_index(K).ravel(), dtables.ravel(), minlength=E * K * K)
+        return sums.reshape(E, K, K)
 
 
 _compile_cache: dict = {}
@@ -180,7 +235,6 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         topology=topology,
         steps=steps,
         table_order=order,
-        message_of_table=np.argsort(order),
     )
     if len(_compile_cache) > 64:
         _compile_cache.clear()
@@ -188,37 +242,52 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     return compiled
 
 
-def layer_tables(
+def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
-    """`compiled.tables` of each layer, built once per distinct pairwise array."""
+    """Label-major (unary (K, n), `compiled.tables(pairwise)`) of each layer,
+    each built once per distinct array (30 tied sweeps build one pair)."""
     built: dict = {}
-    out = []
-    for _, pairwise in layers:
-        tables = built.get(id(pairwise))
-        if tables is None:
-            tables = built[id(pairwise)] = compiled.tables(pairwise)
-        out.append(tables)
-    return out
+
+    def once(array, make):
+        hit = built.get(id(array))
+        if hit is None:
+            hit = built[id(array)] = make(array)
+        return hit
+
+    return [
+        (
+            once(unary, lambda u: np.array(u.T, dtype=np.float64, order="C")),
+            once(pairwise, compiled.tables),
+        )
+        for unary, pairwise in layers
+    ]
 
 
 def block_activations(
-    unary: np.ndarray, tables: np.ndarray, st: BlockStep, q_read: np.ndarray
+    unary: np.ndarray, tables: np.ndarray, st: BlockStep, ix: StepIndex, q_read: np.ndarray
 ) -> np.ndarray:
-    """Pre-softmax activations for the block's sites, given its layer's
-    `compiled.tables(pairwise)` and the q rows of its read sites (`q[st.reads]`)."""
-    K = unary.shape[1]
-    # `take` along rows: numpy's fancy indexing is several times slower here.
-    msg = np.einsum("dkl,dl->dk", tables[st.msgs], q_read.take(st.read_idx, axis=0))
-    sums = np.bincount(st.flat_index("block", K), msg.ravel(), minlength=st.verts.size * K)
-    return unary.take(st.verts, axis=0) + sums.reshape(-1, K)
+    """Pre-softmax activations (K, B) for the block's sites, given its layer's
+    label-major unary (K, n) and tables (`layer_inputs`), the step's
+    StepIndex and the q columns of its read sites, (K, R)."""
+    K, B = unary.shape[0], st.verts.size
+    msg = np.einsum("kld,ld->kd", tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1))
+    sums = np.bincount(ix.pos, msg.ravel(), minlength=K * B)
+    return unary.take(st.verts, axis=1) + sums.reshape(K, B)
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    q_read: np.ndarray       # q rows of the step's read sites, (R, K)
-    activations: np.ndarray  # (B, K)
-    q_out: np.ndarray        # (B, K)
+    """One block step of a taped forward run, stored label-major; the
+    properties are read-only (rows, K) views."""
+
+    q_read_km: np.ndarray       # (K, R) q of the step's read sites
+    activations_km: np.ndarray  # (K, B)
+    q_out_km: np.ndarray        # (K, B)
+
+    q_read = property(lambda self: self.q_read_km.T)
+    activations = property(lambda self: self.activations_km.T)
+    q_out = property(lambda self: self.q_out_km.T)
 
 
 def run_unrolled(
@@ -227,32 +296,40 @@ def run_unrolled(
     compiled: CompiledSchedule,
     tape: Optional[list] = None,
     sweep_hook=None,
+    inputs: Optional[list] = None,
 ) -> np.ndarray:
-    """Apply one sweep per layer, starting from q0.
+    """Apply one sweep per layer, starting from q0 (n, K); returns the final
+    q as a contiguous (n, K) array.
 
     `layers` is a sequence of (unary, pairwise) pairs, one per sweep; plain
-    mean field passes the same pair M times. If `tape` is a list, one
+    mean field passes the same pair M times. `inputs` is their
+    `layer_inputs`, built here when not given. If `tape` is a list, one
     StepRecord per block step is appended, enough to replay the forward
     pass and to drive the reverse pass. `sweep_hook(sweep_index, q)` is
-    called after each sweep when given.
+    called after each sweep with an (n, K) copy of q when given.
 
     Raises FloatingPointError when the final q is not finite.
     """
-    q = np.array(q0, dtype=np.float64, copy=True)
-    for m, ((unary, _), tables) in enumerate(zip(layers, layer_tables(compiled, layers))):
-        for st in compiled.steps:
+    q = np.array(np.transpose(q0), dtype=np.float64, order="C")
+    q_flat = q.reshape(-1)
+    if inputs is None:
+        inputs = layer_inputs(compiled, layers)
+    index = compiled.flat_index(q.shape[0])
+    for m, (unary, tables) in enumerate(inputs):
+        for st, ix in zip(compiled.steps, index):
             # `take` copies, so the tape can keep this read as it is.
-            q_read = q.take(st.reads, axis=0)
-            a = block_activations(unary, tables, st, q_read)
-            q_new = row_softmax(a)
+            q_read = q.take(st.reads, axis=1)
+            a = block_activations(unary, tables, st, ix, q_read)
+            q_new = row_softmax(a, axis=0)
             if tape is not None:
-                tape.append(StepRecord(q_read, activations=a, q_out=q_new))
-            q[st.verts] = q_new
+                tape.append(StepRecord(q_read, a, q_new))
+            # A 1-D indexed write: 2-D fancy writes and `put` are 2-3x slower.
+            q_flat[ix.verts] = q_new.reshape(-1)
         if sweep_hook is not None:
-            sweep_hook(m, q)
+            sweep_hook(m, np.ascontiguousarray(q.T))
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
-    return q
+    return np.ascontiguousarray(q.T)
 
 
 def backward_unrolled(
@@ -261,48 +338,57 @@ def backward_unrolled(
     tape: Sequence[StepRecord],
     gq_final: Optional[np.ndarray] = None,
     ga_final: Optional[np.ndarray] = None,
+    inputs: Optional[list] = None,
 ):
     """Reverse pass through a recorded forward run.
 
-    `gq_final` is the loss gradient with respect to the final q values;
-    `ga_final` is a loss gradient applied directly to each site's final
-    activations (bypassing the closing softmax). Either or both may be given.
+    `gq_final` (n, K) is the loss gradient with respect to the final q
+    values; `ga_final` (n, K) is a loss gradient applied directly to each
+    site's final activations (bypassing the closing softmax). Either or both
+    may be given. `inputs` is the forward's `layer_inputs`, rebuilt here
+    when not given.
 
-    Returns (dunary_layers, dpairwise_layers, gq0) where gq0 is the gradient
-    with respect to the initial distribution q0.
+    Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and (E, K, K)
+    arrays per layer, and the (n, K) gradient with respect to the initial
+    distribution q0.
     """
     n_layers = len(layers)
     n_steps = len(compiled.steps)
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    topo = compiled.topology
+    n = compiled.topology.n_vertices
     K = layers[0][0].shape[1]
-    tables = layer_tables(compiled, layers)
+    if inputs is None:
+        inputs = layer_inputs(compiled, layers)
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
-    dunary = [np.empty_like(unary, dtype=np.float64) for unary, _ in layers]
-    dtables = [np.empty_like(t) for t in tables]
+    dunary = [np.empty((K, n)) for _ in range(n_layers)]
+    dtables = [np.empty_like(tables) for _, tables in inputs]
     gq = (
-        np.array(gq_final, dtype=np.float64, copy=True)
+        np.array(np.transpose(gq_final), dtype=np.float64, order="C")
         if gq_final is not None
-        else np.zeros((topo.n_vertices, K))
+        else np.zeros((K, n))
     )
+    gq_flat = gq.reshape(-1)
+    ga = np.ascontiguousarray(np.transpose(ga_final)) if ga_final is not None else None
+    index = compiled.flat_index(K)
     for gs in range(n_layers * n_steps - 1, -1, -1):
         m, ls = divmod(gs, n_steps)
-        st = compiled.steps[ls]
-        rec = tape[gs]
-        g_b = gq.take(st.verts, axis=0)
-        qo = rec.q_out
-        da = qo * (g_b - np.sum(g_b * qo, axis=1, keepdims=True))
-        if ga_final is not None and m == n_layers - 1:
-            da += ga_final.take(st.verts, axis=0)
-        gq[st.verts] = 0.0
-        dunary[m][st.verts] = da
-        da_msg = da.take(st.pos, axis=0)
-        q_msg = rec.q_read.take(st.read_idx, axis=0)
-        dtables[m][st.msgs] = np.einsum("dk,dl->dkl", da_msg, q_msg)
-        g_read = np.einsum("dkl,dk->dl", tables[m][st.msgs], da_msg)
-        gq[st.reads] += np.bincount(
-            st.flat_index("reads", K), g_read.ravel(), minlength=st.reads.size * K
-        ).reshape(-1, K)
-    return dunary, [compiled.fold(d) for d in dtables], gq
+        st, ix, rec = compiled.steps[ls], index[ls], tape[gs]
+        g_b = gq.take(st.verts, axis=1)
+        qo = rec.q_out_km
+        da = qo * (g_b - np.sum(g_b * qo, axis=0))
+        if ga is not None and m == n_layers - 1:
+            da += ga.take(st.verts, axis=1)
+        gq_flat[ix.verts] = 0.0
+        dunary[m].reshape(-1)[ix.verts] = da.reshape(-1)
+        da_msg = da.take(st.pos, axis=1)
+        q_msg = rec.q_read_km.take(st.read_idx, axis=1)
+        dtables[m][:, :, st.msgs] = np.einsum("kd,ld->kld", da_msg, q_msg)
+        g_read = np.einsum("kld,kd->ld", inputs[m][1][:, :, st.msgs], da_msg)
+        gq_flat[ix.reads] += np.bincount(ix.read_idx, g_read.ravel(), minlength=ix.reads.size)
+    return (
+        [np.ascontiguousarray(d.T) for d in dunary],
+        [compiled.fold(d) for d in dtables],
+        np.ascontiguousarray(gq.T),
+    )

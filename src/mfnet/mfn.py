@@ -93,6 +93,7 @@ class ForwardTrace:
 
     compiled: CompiledSchedule
     layer_potentials: List[Tuple[np.ndarray, np.ndarray]]
+    inputs: list  # engine.layer_inputs of layer_potentials, built by the forward
     q0: np.ndarray
     tape: List[engine.StepRecord]
     q_final: np.ndarray
@@ -104,15 +105,15 @@ class ForwardTrace:
 
     def replay(self) -> np.ndarray:
         """Recompute the output from recorded reads; must match q_final exactly."""
-        q = self.q0.copy()
-        steps = self.compiled.steps
-        tables = engine.layer_tables(self.compiled, self.layer_potentials)
+        q = self.q0.T.copy()
+        q_flat = q.reshape(-1)
+        steps, index = self.compiled.steps, self.compiled.flat_index(q.shape[0])
         for gs, rec in enumerate(self.tape):
             m, ls = divmod(gs, len(steps))
-            st = steps[ls]
-            a = engine.block_activations(self.layer_potentials[m][0], tables[m], st, rec.q_read)
-            q[st.verts] = row_softmax(a)
-        return q
+            unary, tables = self.inputs[m]
+            a = engine.block_activations(unary, tables, steps[ls], index[ls], rec.q_read_km)
+            q_flat[index[ls].verts] = row_softmax(a, axis=0).reshape(-1)
+        return q.T
 
 
 def _unroll(
@@ -120,21 +121,23 @@ def _unroll(
     compiled: CompiledSchedule,
 ) -> ForwardTrace:
     q0 = row_softmax(layer_potentials[0][0])
+    inputs = engine.layer_inputs(compiled, layer_potentials)
     tape: List[engine.StepRecord] = []
-    q_final = engine.run_unrolled(layer_potentials, q0, compiled, tape=tape)
-    a_final = np.zeros_like(q_final)
-    n_steps = len(compiled.steps)
-    last_layer = len(layer_potentials) - 1
-    for ls, st in enumerate(compiled.steps):
-        rec = tape[last_layer * n_steps + ls]
-        a_final[st.verts] = rec.activations
+    q_final = engine.run_unrolled(layer_potentials, q0, compiled, tape=tape, inputs=inputs)
+    n, K = q0.shape
+    a_final = np.empty((K, n))
+    a_flat = a_final.reshape(-1)
+    last_layer = tape[-len(compiled.steps):]
+    for ix, rec in zip(compiled.flat_index(K), last_layer):
+        a_flat[ix.verts] = rec.activations_km.reshape(-1)
     return ForwardTrace(
         compiled=compiled,
         layer_potentials=layer_potentials,
+        inputs=inputs,
         q0=q0,
         tape=tape,
         q_final=q_final,
-        a_final=a_final,
+        a_final=np.ascontiguousarray(a_final.T),
     )
 
 
@@ -173,8 +176,8 @@ def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
     lo, hi = target.topology.edges[:, 0], target.topology.edges[:, 1]
     K = q.shape[1]
     # One message into each endpoint of every edge, summed per site.
-    into_lo = np.einsum("ekl,el->ek", target.pairwise, q[hi])
-    into_hi = np.einsum("ekl,ek->el", target.pairwise, q[lo])
+    into_lo = np.einsum("ekl,el->ek", target.pairwise, q.take(hi, axis=0))
+    into_hi = np.einsum("ekl,ek->el", target.pairwise, q.take(lo, axis=0))
     bins = (np.concatenate([lo, hi])[:, None] * K + np.arange(K)).ravel()
     sums = np.bincount(bins, np.concatenate([into_lo, into_hi]).ravel(), minlength=q.size)
     return np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary - sums.reshape(q.shape)
@@ -228,7 +231,7 @@ def backward(
     else:
         raise TypeError(f"unknown loss {loss!r}")
     dunary, dpair, gq0 = engine.backward_unrolled(
-        trace.layer_potentials, trace.compiled, trace.tape, gq_final, ga_final
+        trace.layer_potentials, trace.compiled, trace.tape, gq_final, ga_final, trace.inputs
     )
     # q0 is the softmax of the first layer's unaries; fold its gradient in.
     q0 = trace.q0

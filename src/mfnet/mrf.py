@@ -121,11 +121,12 @@ def energy(mrf: PairwiseMRF, x: np.ndarray) -> float:
     return total
 
 
-def row_softmax(a: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction."""
+def row_softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax along `axis` (the label axis; rows by default) with max
+    subtraction."""
     a = np.asarray(a, dtype=np.float64)
-    z = np.exp(a - a.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    z = np.exp(a - a.max(axis=axis, keepdims=True))
+    return z / z.sum(axis=axis, keepdims=True)
 
 
 def softmax_init(mrf: PairwiseMRF) -> FactorialDistribution:
@@ -140,8 +141,8 @@ def unnormalized_kl_arrays(
     val = float(np.sum(q * np.log(np.maximum(q, LOG_FLOOR))))
     val -= float(np.sum(q * unary))
     if len(edges):
-        q_lo = q[edges[:, 0]]
-        q_hi = q[edges[:, 1]]
+        q_lo = q.take(edges[:, 0], axis=0)
+        q_hi = q.take(edges[:, 1], axis=0)
         val -= float(np.einsum("ek,ekl,el->", q_lo, pairwise, q_hi))
     return val
 

@@ -195,7 +195,40 @@ class TestGradCheckCommand:
         assert {r["loss"] for r in report["configs"]} == {"kl", "hinge"}
 
 
+# Flags appended to README commands so the walkthrough runs in seconds.
+FAST_FLAGS = {
+    "gen-data": ["--n", "2"],
+    "train-crf": ["--steps", "1"],
+    "train-mfn-inference": ["--steps", "1"],
+    "train-mfn-disc": ["--phase1-steps", "1", "--phase2-steps", "1"],
+    "grad-check": ["--max-layers", "1", "--size", "3"],
+}
+
+
+def readme_walkthrough():
+    """The `mfn ...` lines of the README's CLI walkthrough, split into argv lists."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI walkthrough\n+```\n(.*?)```", readme, re.S).group(1)
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("mfn ")]
+
+
 class TestReadme:
+    def test_walkthrough_runs_in_order(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_walkthrough()
+        assert [argv[1] for argv in commands] == [
+            "gen-data", "train-crf", "run-mf", "train-mfn-inference",
+            "train-mfn-disc", "eval", "grad-check",
+        ]
+        for argv in commands:
+            code = main(argv[1:] + FAST_FLAGS.get(argv[1], []))
+            capsys.readouterr()
+            assert code == 0, argv
+            for flag in ("--out", "--out-dir"):
+                if flag in argv:
+                    made = tmp_path / argv[argv.index(flag) + 1]
+                    assert made.is_file() or any(made.iterdir()), argv
+
     def test_walkthrough_commands_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"## CLI walkthrough\n+```\n(.*?)```", readme, re.S).group(1)

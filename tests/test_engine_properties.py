@@ -146,3 +146,47 @@ def test_run_unrolled_matches_site_updates(problem):
     compiled = engine.compile_schedule(mrfs[0].topology, schedule)
     out = engine.run_unrolled([(m.unary, m.pairwise) for m in mrfs], q0, compiled)
     np.testing.assert_allclose(out, q, rtol=0, atol=1e-12)
+
+
+def _independent_blocks(topology, order):
+    """Split `order` greedily into consecutive blocks with no edge inside a block."""
+    neighbours = [{t for t, _ in adj} for adj in topology.adjacency]
+    blocks, block = [], []
+    for v in order:
+        if neighbours[v].intersection(block):
+            blocks.append(tuple(block))
+            block = []
+        block.append(v)
+    blocks.append(tuple(block))
+    return blocks
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_independent_blocks_equal_sequential(problem):
+    mrfs, schedule = problem
+    mrfs = mrfs[:3]
+    topo = mrfs[0].topology
+    order = [v for block in schedule.blocks() for v in block]
+    blocks = _independent_blocks(topo, order)
+    layers = [(m.unary, m.pairwise) for m in mrfs]
+    q0 = row_softmax(mrfs[0].unary)
+    parallel = engine.run_unrolled(
+        layers, q0, engine.compile_schedule(topo, BlockParallel(tuple(blocks)))
+    )
+    sequential = engine.run_unrolled(
+        layers, q0, engine.compile_schedule(topo, Sequential(tuple(order)))
+    )
+    np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(2, 4)),
+        elements=st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-700.0, 700.0])),
+    )
+)
+def test_label_major_softmax_is_bit_identical(a):
+    np.testing.assert_array_equal(row_softmax(a.T, axis=0).T, row_softmax(a))
