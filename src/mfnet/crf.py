@@ -1,6 +1,7 @@
 """Binary grid CRF: linear unary model over 5x5 windows, Potts pairwise terms."""
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -78,7 +79,8 @@ def grid_graph(height: int, width: int) -> GridGraph:
     return GridGraph(height=height, width=width, topology=topo, horizontal=horizontal)
 
 
-# keyed by image identity; training loops pass the same arrays every step
+# id(image) -> (weak reference to the image, its features). Training loops
+# pass the same arrays every step; an entry goes when its image is freed.
 _feature_cache: dict = {}
 
 
@@ -90,7 +92,7 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     hit = _feature_cache.get(id(y))
-    if hit is not None and hit[0] is y:
+    if hit is not None and hit[0]() is y:
         return hit[1]
     h, w = y.shape
     r = WINDOW // 2
@@ -98,9 +100,8 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(padded, (WINDOW, WINDOW))
     feats = windows.reshape(h * w, WINDOW * WINDOW)
     phi = np.concatenate([feats, np.ones((h * w, 1))], axis=1)
-    if len(_feature_cache) > 256:
-        _feature_cache.clear()
-    _feature_cache[id(y)] = (y, phi)
+    _feature_cache[id(y)] = (weakref.ref(y), phi)
+    weakref.finalize(y, _feature_cache.pop, id(y), None)
     return phi
 
 
@@ -128,7 +129,8 @@ def build_mrf(y: np.ndarray, theta: CrfParams) -> PairwiseMRF:
     unary = np.zeros((h * w, 2))
     unary[:, 1] = feature_matrix(y) @ theta.w
     penalties = np.where(grid.horizontal, theta.p_h, theta.p_v)
-    pairwise = penalties[:, None, None] * np.eye(2)[None, :, :]
+    pairwise = np.zeros((len(penalties), 2, 2))
+    pairwise[:, 0, 0] = pairwise[:, 1, 1] = penalties
     return PairwiseMRF(topology=grid.topology, K=2, unary=unary, pairwise=pairwise)
 
 

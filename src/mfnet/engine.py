@@ -1,9 +1,14 @@
 """Shared execution engine for mean field sweeps and their unrolled form.
 
-A schedule is compiled against a topology into a sequence of block steps.
-Every site update inside a block reads the q values from before the block,
-and a whole sweep applies the blocks in order. Sequential schedules are
-singleton blocks, so each update sees all earlier updates in the sweep.
+A schedule is a sequence of blocks: every site update inside a block reads
+the q values from before the block, and a sweep applies the blocks in order
+(a Sequential schedule is singleton blocks). Compiling a schedule against a
+topology groups its blocks into dependency levels, as level scheduling does
+for sparse triangular solves, and runs each level as one block step: a
+block's level is one more than the highest level of any earlier block it
+shares an edge with. Each site then reads exactly the values the schedule
+gives it, so the forward pass is the same bit for bit; a 50x100 raster
+sweep runs as 149 anti-diagonal steps instead of 5,000.
 
 The same step loop runs plain mean field and the unrolled network; the
 tape recorded here is what the reverse pass consumes.
@@ -85,7 +90,11 @@ def validate_schedule(topology: GraphTopology, schedule: Schedule) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class BlockStep:
-    """One block of a sweep and the directed messages into it.
+    """One dependency level of a sweep and the directed messages into it.
+
+    `verts` holds the sites of every schedule block on the level, in
+    schedule order; no edge joins two of those blocks, and all sites of the
+    step read the q values from before it.
 
     Every edge carries one message into each endpoint. Message d of this step
     reads site `reads[read_idx[d]]` through oriented table
@@ -185,20 +194,43 @@ class CompiledSchedule:
 _compile_cache: dict = {}
 
 
+def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Dependency level of each block: one more than the highest level of any
+    earlier block it shares an edge with, 0 when there is none."""
+    a, b = block_of[edges[:, 0]], block_of[edges[:, 1]]
+    cross = a != b
+    # Distinct (later block, earlier block) pairs, grouped by the later block.
+    pairs = np.unique(np.maximum(a, b)[cross] * n_blocks + np.minimum(a, b)[cross])
+    early = (pairs % n_blocks).tolist()
+    bounds = np.searchsorted(pairs // n_blocks, np.arange(n_blocks + 1)).tolist()
+    level = [0] * n_blocks
+    for blk in range(n_blocks):
+        lo, hi = bounds[blk], bounds[blk + 1]
+        if lo < hi:
+            level[blk] = 1 + max(map(level.__getitem__, early[lo:hi]))
+    return np.array(level, dtype=np.int64)
+
+
 def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSchedule:
     key = (id(topology), schedule)
     cached = _compile_cache.get(key)
     if cached is not None and cached.topology is topology:
         return cached
-    verts = validate_schedule(topology, schedule)
+    seen = validate_schedule(topology, schedule)
     n, E = topology.n_vertices, topology.n_edges
-    blocks = schedule.blocks()
-    sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
-    v_start = np.concatenate([[0], np.cumsum(sizes)])
-    step_of = np.empty(n, dtype=np.int64)
-    step_of[verts] = np.repeat(np.arange(len(blocks)), sizes)
+    sizes = np.fromiter(map(len, schedule.blocks()), dtype=np.int64)
+    block_of = np.empty(n, dtype=np.int64)
+    block_of[seen] = np.repeat(np.arange(sizes.size), sizes)
+    # One step per dependency level: every neighbour a site reads sits on a
+    # lower level when the schedule updates it earlier, on a higher one when
+    # later, and on the same one only inside the site's own block.
+    step_of = _block_levels(block_of, topology.edges, sizes.size)[block_of]
+    n_steps = int(step_of.max()) + 1
+    verts = seen[np.argsort(step_of[seen], kind="stable")]
+    counts = np.bincount(step_of, minlength=n_steps)
+    v_start = np.concatenate([[0], np.cumsum(counts)])
     pos_of = np.empty(n, dtype=np.int64)
-    pos_of[verts] = np.arange(n) - np.repeat(v_start[:-1], sizes)
+    pos_of[verts] = np.arange(n) - np.repeat(v_start[:-1], counts)
 
     # All 2E messages, grouped by the step that writes their target; the
     # stable sort keeps the messages into lower endpoints first in each step.
@@ -206,13 +238,13 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     target, read = np.concatenate([lo, hi]), np.concatenate([hi, lo])
     order = np.argsort(step_of[target], kind="stable")
     m_step = step_of[target[order]]
-    m_start = np.searchsorted(m_step, np.arange(len(blocks) + 1))
-    m_mid = m_start[:-1] + np.bincount(step_of[lo], minlength=len(blocks))
+    m_start = np.searchsorted(m_step, np.arange(n_steps + 1))
+    m_mid = m_start[:-1] + np.bincount(step_of[lo], minlength=n_steps)
     edge = np.where(order < E, order, order - E)
     pos = pos_of[target[order]]
     # Distinct read sites per step, from one sort of (step, read site) keys.
     keys, inverse = np.unique(m_step * n + read[order], return_inverse=True)
-    r_start = np.searchsorted(keys // n, np.arange(len(blocks) + 1))
+    r_start = np.searchsorted(keys // n, np.arange(n_steps + 1))
     reads = keys % n
     read_idx = inverse.reshape(-1) - r_start[m_step]
 
@@ -229,7 +261,7 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
             reads=reads[r_start[i] : r_start[i + 1]],
             read_idx=read_idx[m_start[i] : m_start[i + 1]],
         )
-        for i in range(len(blocks))
+        for i in range(n_steps)
     )
     compiled = CompiledSchedule(
         topology=topology,

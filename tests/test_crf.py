@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,16 @@ class TestFeatures:
         phi = feature_matrix(y)
         for s in (0, 5, 17, 41):
             np.testing.assert_allclose(phi[s], extract_features(y, s), atol=1e-15)
+
+    def test_cache_holds_live_images_only(self):
+        y = np.random.default_rng(5).random((6, 7))
+        phi = feature_matrix(y)
+        assert feature_matrix(y) is phi
+        key = id(y)
+        assert key in crf._feature_cache
+        del y
+        gc.collect()
+        assert key not in crf._feature_cache
 
     def test_translation_consistency(self):
         rng = np.random.default_rng(4)
