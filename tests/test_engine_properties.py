@@ -202,9 +202,9 @@ def test_steps_are_dependency_levels(problem):
     compiled = engine.compile_schedule(topo, schedule)
     n = topo.n_vertices
     step_of = np.full(n, -1)
-    for s, st in enumerate(compiled.steps):
-        assert np.all(step_of[st.verts] == -1)
-        step_of[st.verts] = s
+    for s, step in enumerate(compiled.steps):
+        assert np.all(step_of[step.verts] == -1)
+        step_of[step.verts] = s
     assert np.all(step_of >= 0)
     block_of, rank = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     order = [v for block in schedule.blocks() for v in block]
@@ -216,8 +216,8 @@ def test_steps_are_dependency_levels(problem):
         if block_of[u] != block_of[v]:
             first, last = (u, v) if block_of[u] < block_of[v] else (v, u)
             assert step_of[first] < step_of[last]
-    for st in compiled.steps:
-        assert np.all(np.diff(rank[st.verts]) > 0)
+    for step in compiled.steps:
+        assert np.all(np.diff(rank[step.verts]) > 0)
 
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (4, 1), (3, 5), (50, 100)])
@@ -225,25 +225,25 @@ def test_raster_compiles_to_anti_diagonals(h, w):
     topo = grid_graph(h, w).topology
     compiled = engine.compile_schedule(topo, engine.raster_schedule(h * w))
     assert len(compiled.steps) == h + w - 1
-    for d, st in enumerate(compiled.steps):
-        rows, cols = np.divmod(st.verts, w)
+    for d, step in enumerate(compiled.steps):
+        rows, cols = np.divmod(step.verts, w)
         assert np.all(rows + cols == d)
 
 
 def test_checkerboard_compiles_to_its_two_blocks():
     schedule = engine.checkerboard_schedule(50, 100)
     compiled = engine.compile_schedule(grid_graph(50, 100).topology, schedule)
-    assert [tuple(st.verts) for st in compiled.steps] == list(schedule.block_list)
+    assert [tuple(step.verts) for step in compiled.steps] == list(schedule.block_list)
 
 
 def test_sequential_along_a_path_compiles_to_one_step_per_vertex():
     n = 6
     topo = GraphTopology(n_vertices=n, edges=[(v, v + 1) for v in range(n - 1)])
     compiled = engine.compile_schedule(topo, engine.raster_schedule(n))
-    assert [tuple(st.verts) for st in compiled.steps] == [(v,) for v in range(n)]
+    assert [tuple(step.verts) for step in compiled.steps] == [(v,) for v in range(n)]
 
 
 def test_edgeless_graph_compiles_to_one_step():
     topo = GraphTopology(n_vertices=5, edges=np.zeros((0, 2), dtype=np.int64))
     compiled = engine.compile_schedule(topo, Sequential((3, 1, 4, 0, 2)))
-    assert [tuple(st.verts) for st in compiled.steps] == [(3, 1, 4, 0, 2)]
+    assert [tuple(step.verts) for step in compiled.steps] == [(3, 1, 4, 0, 2)]
