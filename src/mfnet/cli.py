@@ -36,7 +36,10 @@ def _load_pairs(path):
     path = Path(path)
     if path.is_dir():
         path = path / "manifest.json"
-    return [img.pair for img in data.load_split(path)]
+    pairs = [img.pair for img in data.load_split(path)]
+    if not pairs:
+        raise ValueError(f"{path}: the split holds no images")
+    return pairs
 
 
 def _write_json(path, obj) -> None:
@@ -49,12 +52,19 @@ def _write_jsonl(path, rows) -> None:
             f.write(json.dumps(row) + "\n")
 
 
+def _read_params(path) -> dict:
+    d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: parameters must be a JSON object")
+    return d
+
+
 def _load_crf_params(path) -> CrfParams:
-    return CrfParams.from_json_dict(json.loads(Path(path).read_text()))
+    return CrfParams.from_json_dict(_read_params(path))
 
 
 def _load_model(path) -> MfnParams:
-    d = json.loads(Path(path).read_text())
+    d = _read_params(path)
     if "tied" in d:
         return MfnParams.from_json_dict(d)
     return MfnParams.tied_from(CrfParams.from_json_dict(d))
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
         # floating-point warnings ahead of it.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (FloatingPointError, ArithmeticError) as exc:

@@ -210,6 +210,8 @@ def save_split(images: Sequence[LabeledImage], out_dir, manifest: dict) -> Path:
 def load_split(manifest_path) -> List[LabeledImage]:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
+        raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")
     images = []
     for entry in manifest["files"]:
         noisy, maxval = read_pgm(manifest_path.parent / entry["input"])

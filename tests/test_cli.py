@@ -157,6 +157,40 @@ class TestErrors:
         assert code == 1
         assert len(err.strip().splitlines()) == 1
 
+    @staticmethod
+    def assert_one_line_naming(code, err, path):
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["eval", "run-mf"])
+    def test_directory_as_parameter_file(self, tiny_dataset, tmp_path, capsys, command):
+        flag = "--model" if command == "eval" else "--params"
+        code, _, err = run_cli(capsys, command, flag, str(tmp_path),
+                               "--data", str(tiny_dataset / "test"))
+        self.assert_one_line_naming(code, err, tmp_path)
+
+    def test_manifest_without_images(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"files": []}))
+        code, _, err = run_cli(capsys, "train-crf", "--data", str(manifest),
+                               "--out", str(tmp_path / "params.json"))
+        self.assert_one_line_naming(code, err, manifest)
+
+    def test_parameters_not_a_json_object(self, tiny_dataset, tmp_path, capsys):
+        params = tmp_path / "list.json"
+        params.write_text("[1, 2]")
+        code, _, err = run_cli(capsys, "run-mf", "--params", str(params),
+                               "--data", str(tiny_dataset / "test"))
+        self.assert_one_line_naming(code, err, params)
+
+    def test_data_not_a_manifest(self, tmp_path, capsys):
+        other = tmp_path / "theta.json"
+        other.write_text(json.dumps(theta0().to_json_dict()))
+        code, _, err = run_cli(capsys, "train-crf", "--data", str(other),
+                               "--out", str(tmp_path / "params.json"))
+        self.assert_one_line_naming(code, err, other)
+
     @pytest.mark.parametrize("command", ["eval", "run-mf"])
     def test_non_finite_inference_is_numerical_failure(self, tiny_dataset, tmp_path,
                                                        capsys, command):
