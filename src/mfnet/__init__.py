@@ -16,7 +16,7 @@ from .mrf import (
     unnormalized_kl,
 )
 from .oracle import brute_force_log_partition, brute_force_marginals, exact_kl
-from .crf import CrfParams, build_mrf, extract_features, theta0
+from .crf import CrfParams, build_mrf, theta0
 from .mfn import Hinge, KlToTarget, MfnParams, forward, predict
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "exact_kl",
     "CrfParams",
     "build_mrf",
-    "extract_features",
     "theta0",
     "Hinge",
     "KlToTarget",

@@ -105,22 +105,6 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
     return phi
 
 
-def extract_features(y: np.ndarray, s: int) -> np.ndarray:
-    """Feature vector for one pixel (linear index, raster order)."""
-    y = np.asarray(y, dtype=np.float64)
-    h, w = y.shape
-    i, j = divmod(int(s), w)
-    r = WINDOW // 2
-    out = np.zeros(N_FEATURES)
-    out[-1] = 1.0
-    for di in range(-r, r + 1):
-        for dj in range(-r, r + 1):
-            ii, jj = i + di, j + dj
-            if 0 <= ii < h and 0 <= jj < w:
-                out[(di + r) * WINDOW + (dj + r)] = y[ii, jj]
-    return out
-
-
 def build_mrf(y: np.ndarray, theta: CrfParams) -> PairwiseMRF:
     """Binary grid MRF: unary rows (0, w.phi(y,s)), Potts tables per edge."""
     y = np.asarray(y, dtype=np.float64)
@@ -132,6 +116,18 @@ def build_mrf(y: np.ndarray, theta: CrfParams) -> PairwiseMRF:
     pairwise = np.zeros((len(penalties), 2, 2))
     pairwise[:, 0, 0] = pairwise[:, 1, 1] = penalties
     return PairwiseMRF(topology=grid.topology, K=2, unary=unary, pairwise=pairwise)
+
+
+def theta_gradient(y: np.ndarray, d_unary1: np.ndarray, d_penalty: np.ndarray) -> np.ndarray:
+    """Pull a gradient on the outputs of `build_mrf(y, theta)` back to theta,
+    as a 28-vector; `d_unary1` (n,) is for the label-1 unary column and
+    `d_penalty` (E,) for each edge's Potts penalty."""
+    y = np.asarray(y, dtype=np.float64)
+    grid = grid_graph(*y.shape)
+    dw = feature_matrix(y).T @ d_unary1
+    dp_h = float(d_penalty[grid.horizontal].sum())
+    dp_v = float(d_penalty[~grid.horizontal].sum())
+    return np.concatenate([dw, [dp_h, dp_v]])
 
 
 def cl_gradient(
@@ -146,19 +142,11 @@ def cl_gradient(
     pairwise expectations factor as q_s q_t.
     """
     y = np.asarray(y, dtype=np.float64)
-    h, w = y.shape
-    x_hat = np.asarray(x_hat, dtype=np.int64).reshape(h * w)
-    grid = grid_graph(h, w)
-    phi = feature_matrix(y)
-    dw = phi.T @ (x_hat - q.probs[:, 1])
-    lo = grid.topology.edges[:, 0]
-    hi = grid.topology.edges[:, 1]
+    x_hat = np.asarray(x_hat, dtype=np.int64).reshape(y.size)
+    lo, hi = grid_graph(*y.shape).topology.edges.T
     agree = (x_hat[lo] == x_hat[hi]).astype(np.float64)
     expected_agree = np.sum(q.probs.take(lo, axis=0) * q.probs.take(hi, axis=0), axis=1)
-    per_edge = agree - expected_agree
-    dp_h = float(per_edge[grid.horizontal].sum())
-    dp_v = float(per_edge[~grid.horizontal].sum())
-    return np.concatenate([dw, [dp_h, dp_v]])
+    return theta_gradient(y, x_hat - q.probs[:, 1], agree - expected_agree)
 
 
 def mf_marginals(

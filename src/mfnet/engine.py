@@ -134,34 +134,19 @@ class CompiledSchedule:
     _flat_index: dict = field(default_factory=dict, repr=False)
 
     def flat_index(self, K: int) -> List[StepIndex]:
-        """The StepIndex of every step for K labels, built once per K as
-        views into four schedule-wide arrays."""
+        """The StepIndex of every step for K labels, built once per K."""
         index = self._flat_index.get(K)
         if index is None:
-            steps, n = self.steps, self.topology.n_vertices
-            B, R, M = (np.array([getattr(st, f).size for st in steps], dtype=np.int64)
-                       for f in ("verts", "reads", "pos"))
-            m_step = np.repeat(np.arange(len(steps)), M)
-
-            def laid_out(name, sizes, stride):
-                # Step after step, the (K, size) block of k * stride + the step's values.
-                values = np.concatenate([getattr(st, name) for st in steps])
-                ends = np.cumsum(sizes)
-                start = np.repeat(ends - sizes, sizes)
-                k = np.arange(K)[:, None]
-                at = K * start + k * np.repeat(sizes, sizes) + np.arange(values.size) - start
-                out = np.empty(K * values.size, dtype=np.int64)
-                out[at] = k * stride + values
-                bounds = (K * ends).tolist()
-                return [out[a:b] for a, b in zip([0] + bounds, bounds)]
-
-            index = self._flat_index[K] = list(map(
-                StepIndex,
-                laid_out("verts", B, n),
-                laid_out("reads", R, n),
-                laid_out("pos", M, B[m_step]),
-                laid_out("read_idx", M, R[m_step]),
-            ))
+            n, k = self.topology.n_vertices, np.arange(K)[:, None]
+            index = self._flat_index[K] = [
+                StepIndex(
+                    (k * n + st.verts).ravel(),
+                    (k * n + st.reads).ravel(),
+                    (k * st.verts.size + st.pos).ravel(),
+                    (k * st.reads.size + st.read_idx).ravel(),
+                )
+                for st in self.steps
+            ]
         return index
 
     def table_index(self, K: int) -> np.ndarray:
@@ -191,9 +176,6 @@ class CompiledSchedule:
         return sums.reshape(E, K, K)
 
 
-_compile_cache: dict = {}
-
-
 def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.ndarray:
     """Dependency level of each block: one more than the highest level of any
     earlier block it shares an edge with, 0 when there is none."""
@@ -211,11 +193,8 @@ def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.
     return np.array(level, dtype=np.int64)
 
 
+@lru_cache(maxsize=64)
 def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSchedule:
-    key = (id(topology), schedule)
-    cached = _compile_cache.get(key)
-    if cached is not None and cached.topology is topology:
-        return cached
     seen = validate_schedule(topology, schedule)
     n, E = topology.n_vertices, topology.n_edges
     sizes = np.fromiter(map(len, schedule.blocks()), dtype=np.int64)
@@ -263,15 +242,7 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         )
         for i in range(n_steps)
     )
-    compiled = CompiledSchedule(
-        topology=topology,
-        steps=steps,
-        table_order=order,
-    )
-    if len(_compile_cache) > 64:
-        _compile_cache.clear()
-    _compile_cache[key] = compiled
-    return compiled
+    return CompiledSchedule(topology=topology, steps=steps, table_order=order)
 
 
 def layer_inputs(
@@ -282,10 +253,9 @@ def layer_inputs(
     built: dict = {}
 
     def once(array, make):
-        hit = built.get(id(array))
-        if hit is None:
-            hit = built[id(array)] = make(array)
-        return hit
+        if id(array) not in built:
+            built[id(array)] = make(array)
+        return built[id(array)]
 
     return [
         (
@@ -310,16 +280,10 @@ def block_activations(
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One block step of a taped forward run, stored label-major; the
-    properties are read-only (rows, K) views."""
+    """One block step of a taped forward run: what the reverse pass reads."""
 
-    q_read_km: np.ndarray       # (K, R) q of the step's read sites
-    activations_km: np.ndarray  # (K, B)
-    q_out_km: np.ndarray        # (K, B)
-
-    q_read = property(lambda self: self.q_read_km.T)
-    activations = property(lambda self: self.activations_km.T)
-    q_out = property(lambda self: self.q_out_km.T)
+    q_read_km: np.ndarray  # (K, R) q of the step's read sites
+    q_out_km: np.ndarray   # (K, B) q the step wrote
 
 
 def run_unrolled(
@@ -329,39 +293,45 @@ def run_unrolled(
     tape: Optional[list] = None,
     sweep_hook=None,
     inputs: Optional[list] = None,
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
-    q as a contiguous (n, K) array.
+    q and the last layer's pre-softmax activations, as contiguous (n, K)
+    arrays (zeros when there are no layers).
 
     `layers` is a sequence of (unary, pairwise) pairs, one per sweep; plain
     mean field passes the same pair M times. `inputs` is their
     `layer_inputs`, built here when not given. If `tape` is a list, one
-    StepRecord per block step is appended, enough to replay the forward
-    pass and to drive the reverse pass. `sweep_hook(sweep_index, q)` is
-    called after each sweep with an (n, K) copy of q when given.
+    StepRecord per block step is appended for the reverse pass.
+    `sweep_hook(sweep_index, q)` is called after each sweep with an (n, K)
+    copy of q when given.
 
     Raises FloatingPointError when the final q is not finite.
     """
     q = np.array(np.transpose(q0), dtype=np.float64, order="C")
     q_flat = q.reshape(-1)
+    a_final = np.zeros_like(q)
+    a_flat = a_final.reshape(-1)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
     index = compiled.flat_index(q.shape[0])
     for m, (unary, tables) in enumerate(inputs):
+        last = m == len(inputs) - 1
         for st, ix in zip(compiled.steps, index):
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)
             a = block_activations(unary, tables, st, ix, q_read)
             q_new = row_softmax(a, axis=0)
             if tape is not None:
-                tape.append(StepRecord(q_read, a, q_new))
+                tape.append(StepRecord(q_read, q_new))
             # A 1-D indexed write: 2-D fancy writes and `put` are 2-3x slower.
             q_flat[ix.verts] = q_new.reshape(-1)
+            if last:
+                a_flat[ix.verts] = a.reshape(-1)
         if sweep_hook is not None:
             sweep_hook(m, np.ascontiguousarray(q.T))
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
-    return np.ascontiguousarray(q.T)
+    return np.ascontiguousarray(q.T), np.ascontiguousarray(a_final.T)
 
 
 def backward_unrolled(

@@ -51,7 +51,7 @@ def sweep(
 ) -> FactorialDistribution:
     """One full pass over all sites under the given schedule."""
     compiled = engine.compile_schedule(mrf.topology, schedule)
-    out = engine.run_unrolled([(mrf.unary, mrf.pairwise)], q.probs, compiled)
+    out, _ = engine.run_unrolled([(mrf.unary, mrf.pairwise)], q.probs, compiled)
     return FactorialDistribution(out)
 
 
@@ -81,7 +81,7 @@ def run(
                 unnormalized_kl_arrays(q, mrf.unary, mrf.pairwise, edges)
             )
 
-    out = engine.run_unrolled(
+    out, _ = engine.run_unrolled(
         [(mrf.unary, mrf.pairwise)] * n_iters, q0.probs, compiled, sweep_hook=hook
     )
     return FactorialDistribution(out), kl_trace

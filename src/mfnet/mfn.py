@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import engine
-from .crf import CrfParams, build_mrf, feature_matrix, grid_graph
+from .crf import CrfParams, build_mrf, theta_gradient
 from .engine import CompiledSchedule, Schedule, checkerboard_schedule
 from .mrf import LOG_FLOOR, PairwiseMRF, row_softmax, unnormalized_kl_arrays
 
@@ -99,47 +99,6 @@ class ForwardTrace:
     q_final: np.ndarray
     a_final: np.ndarray
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_potentials)
-
-    def replay(self) -> np.ndarray:
-        """Recompute the output from recorded reads; must match q_final exactly."""
-        q = self.q0.T.copy()
-        q_flat = q.reshape(-1)
-        steps, index = self.compiled.steps, self.compiled.flat_index(q.shape[0])
-        for gs, rec in enumerate(self.tape):
-            m, ls = divmod(gs, len(steps))
-            unary, tables = self.inputs[m]
-            a = engine.block_activations(unary, tables, steps[ls], index[ls], rec.q_read_km)
-            q_flat[index[ls].verts] = row_softmax(a, axis=0).reshape(-1)
-        return q.T
-
-
-def _unroll(
-    layer_potentials: List[Tuple[np.ndarray, np.ndarray]],
-    compiled: CompiledSchedule,
-) -> ForwardTrace:
-    q0 = row_softmax(layer_potentials[0][0])
-    inputs = engine.layer_inputs(compiled, layer_potentials)
-    tape: List[engine.StepRecord] = []
-    q_final = engine.run_unrolled(layer_potentials, q0, compiled, tape=tape, inputs=inputs)
-    n, K = q0.shape
-    a_final = np.empty((K, n))
-    a_flat = a_final.reshape(-1)
-    last_layer = tape[-len(compiled.steps):]
-    for ix, rec in zip(compiled.flat_index(K), last_layer):
-        a_flat[ix.verts] = rec.activations_km.reshape(-1)
-    return ForwardTrace(
-        compiled=compiled,
-        layer_potentials=layer_potentials,
-        inputs=inputs,
-        q0=q0,
-        tape=tape,
-        q_final=q_final,
-        a_final=np.ascontiguousarray(a_final.T),
-    )
-
 
 def forward(
     y: np.ndarray, params: MfnParams, n_layers: int, schedule: Schedule
@@ -154,18 +113,21 @@ def forward(
         mrfs = [build_mrf(y, params.layer(0))] * n_layers
     else:
         mrfs = [build_mrf(y, p) for p in params.layers]
-    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
-    return _unroll([(m.unary, m.pairwise) for m in mrfs], compiled)
+    return forward_mrfs(mrfs, schedule)
 
 
 def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrace:
     """Graph-generic forward pass over explicit per-layer potential sets."""
     topo = mrfs[0].topology
-    for m in mrfs:
-        if m.topology is not topo:
-            raise ValueError("all layers must share one topology")
+    if any(m.topology is not topo for m in mrfs):
+        raise ValueError("all layers must share one topology")
     compiled = engine.compile_schedule(topo, schedule)
-    return _unroll([(m.unary, m.pairwise) for m in mrfs], compiled)
+    layers = [(m.unary, m.pairwise) for m in mrfs]
+    q0 = row_softmax(layers[0][0])
+    inputs = engine.layer_inputs(compiled, layers)
+    tape: List[engine.StepRecord] = []
+    q_final, a_final = engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
+    return ForwardTrace(compiled, layers, inputs, q0, tape, q_final, a_final)
 
 
 def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
@@ -217,8 +179,7 @@ def backward(
     x_hat: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Loss gradient as one 28-vector per parameter layer (a single vector when tied)."""
-    n_layers = trace.n_layers
-    if not params.tied and len(params.layers) != n_layers:
+    if not params.tied and len(params.layers) != len(trace.layer_potentials):
         raise ValueError("parameters do not match the trace")
     if isinstance(loss, KlToTarget):
         gq_final = kl_grad_q(trace.q_final, loss.target)
@@ -238,16 +199,11 @@ def backward(
     da0 = q0 * (gq0 - np.sum(gq0 * q0, axis=1, keepdims=True))
     dunary[0] = dunary[0] + da0
 
+    # Both diagonal entries of an edge's Potts table hold its penalty.
     y = np.asarray(y, dtype=np.float64)
-    grid = grid_graph(*y.shape)
-    phi = feature_matrix(y)
-    per_layer = []
-    for m in range(n_layers):
-        dw = phi.T @ dunary[m][:, 1]
-        diag = dpair[m][:, 0, 0] + dpair[m][:, 1, 1]
-        dp_h = float(diag[grid.horizontal].sum())
-        dp_v = float(diag[~grid.horizontal].sum())
-        per_layer.append(np.concatenate([dw, [dp_h, dp_v]]))
+    per_layer = [
+        theta_gradient(y, du[:, 1], dp[:, 0, 0] + dp[:, 1, 1]) for du, dp in zip(dunary, dpair)
+    ]
     if params.tied:
         return [np.sum(per_layer, axis=0)]
     return per_layer

@@ -5,10 +5,11 @@ import pytest
 
 from mfnet import crf, meanfield
 from mfnet.crf import (
+    N_FEATURES,
+    WINDOW,
     CrfParams,
     build_mrf,
     cl_gradient,
-    extract_features,
     feature_matrix,
     grid_graph,
     theta0,
@@ -16,6 +17,22 @@ from mfnet.crf import (
 )
 from mfnet.mrf import FactorialDistribution, energy, softmax_init
 from mfnet.oracle import brute_force_log_partition, brute_force_marginals
+
+
+def extract_features(y, s):
+    """Feature vector for one pixel (linear index, raster order), one window cell at a time."""
+    y = np.asarray(y, dtype=np.float64)
+    h, w = y.shape
+    i, j = divmod(int(s), w)
+    r = WINDOW // 2
+    out = np.zeros(N_FEATURES)
+    out[-1] = 1.0
+    for di in range(-r, r + 1):
+        for dj in range(-r, r + 1):
+            ii, jj = i + di, j + dj
+            if 0 <= ii < h and 0 <= jj < w:
+                out[(di + r) * WINDOW + (dj + r)] = y[ii, jj]
+    return out
 
 
 class TestFeatures:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import replay
 from mfnet import engine, meanfield
 from mfnet.crf import grid_graph
 from mfnet.engine import BlockParallel, Sequential
@@ -76,16 +77,7 @@ def test_tied_forward_equals_mean_field(problem):
 def test_replay_equals_forward(problem):
     mrfs, schedule = problem
     trace = forward_mrfs(mrfs, schedule)
-    np.testing.assert_array_equal(trace.replay(), trace.q_final)
-
-
-def _final_activations(compiled, tape, n_layers):
-    """Each site's activations from its last update in the last layer."""
-    a = np.zeros((compiled.topology.n_vertices, tape[0].activations.shape[1]))
-    n_steps = len(compiled.steps)
-    for ls, step in enumerate(compiled.steps):
-        a[step.verts] = tape[(n_layers - 1) * n_steps + ls].activations
-    return a
+    np.testing.assert_array_equal(replay(trace), trace.q_final)
 
 
 @settings(max_examples=30, deadline=None)
@@ -103,11 +95,10 @@ def test_backward_matches_finite_differences(problem, seeds, seed):
     q0 = rng.dirichlet(np.ones(K), size=n)
 
     def loss():
-        tape = []
-        q = engine.run_unrolled(layers, q0, compiled, tape=tape)
+        q, a = engine.run_unrolled(layers, q0, compiled)
         total = float(np.sum(gq * q)) if gq is not None else 0.0
         if ga is not None:
-            total += float(np.sum(ga * _final_activations(compiled, tape, len(layers))))
+            total += float(np.sum(ga * a))
         return total
 
     tape = []
@@ -140,14 +131,29 @@ def test_run_unrolled_matches_site_updates(problem):
     mrfs, schedule = problem
     q = row_softmax(mrfs[0].unary)
     q0 = q.copy()
+    a = np.zeros_like(q)
     for m in mrfs:
         for block in schedule.blocks():
             before = FactorialDistribution(q.copy())
             for v in block:
+                # The unary plus each neighbour's pre-block q through the edge table.
+                a[v] = m.unary[v] + sum(
+                    (m.pairwise[e] if v < t else m.pairwise[e].T) @ before.probs[t]
+                    for t, e in m.topology.adjacency[v]
+                )
                 q[v] = meanfield.site_update(m, before, v)
     compiled = engine.compile_schedule(mrfs[0].topology, schedule)
-    out = engine.run_unrolled([(m.unary, m.pairwise) for m in mrfs], q0, compiled)
+    out, a_out = engine.run_unrolled([(m.unary, m.pairwise) for m in mrfs], q0, compiled)
     np.testing.assert_allclose(out, q, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a_out, a, rtol=0, atol=1e-12)
+
+
+def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
+    topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
+    q0 = np.full((3, 2), 0.5)
+    q, a = engine.run_unrolled([], q0, engine.compile_schedule(topo, engine.raster_schedule(3)))
+    np.testing.assert_array_equal(q, q0)
+    np.testing.assert_array_equal(a, np.zeros((3, 2)))
 
 
 def _independent_blocks(topology, order):
@@ -173,10 +179,10 @@ def test_independent_blocks_equal_sequential(problem):
     blocks = _independent_blocks(topo, order)
     layers = [(m.unary, m.pairwise) for m in mrfs]
     q0 = row_softmax(mrfs[0].unary)
-    parallel = engine.run_unrolled(
+    parallel, _ = engine.run_unrolled(
         layers, q0, engine.compile_schedule(topo, BlockParallel(tuple(blocks)))
     )
-    sequential = engine.run_unrolled(
+    sequential, _ = engine.run_unrolled(
         layers, q0, engine.compile_schedule(topo, Sequential(tuple(order)))
     )
     np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-12)
