@@ -31,15 +31,16 @@ def _schedule_for(name: str, shape):
     raise ValueError(f"unknown schedule {name!r}")
 
 
-def _load_pairs(path):
-    """Image pairs of a split, given its manifest or the directory holding it."""
-    path = Path(path)
+def _load_data(args):
+    """Image pairs of the --data split, given its manifest or the directory
+    holding it, and the --schedule for their size."""
+    path = Path(args.data)
     if path.is_dir():
         path = path / "manifest.json"
     pairs = [img.pair for img in data.load_split(path)]
     if not pairs:
         raise ValueError(f"{path}: the split holds no images")
-    return pairs
+    return pairs, _schedule_for(args.schedule, pairs[0][0].shape)
 
 
 def _write_json(path, obj) -> None:
@@ -89,8 +90,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train_crf(args) -> int:
-    pairs = _load_pairs(args.data)
-    schedule = _schedule_for(args.schedule, pairs[0][0].shape)
+    pairs, schedule = _load_data(args)
     log: list = []
     theta = crf.train_baseline(
         pairs,
@@ -110,8 +110,7 @@ def cmd_train_crf(args) -> int:
 
 def cmd_run_mf(args) -> int:
     theta = _load_crf_params(args.params)
-    pairs = _load_pairs(args.data)
-    schedule = _schedule_for(args.schedule, pairs[0][0].shape)
+    pairs, schedule = _load_data(args)
     kls = []
     accs = []
     for y, x_hat in pairs:
@@ -137,8 +136,7 @@ def cmd_run_mf(args) -> int:
 
 def cmd_train_mfn_inference(args) -> int:
     theta = _load_crf_params(args.params)
-    pairs = _load_pairs(args.data)
-    schedule = _schedule_for(args.schedule, pairs[0][0].shape)
+    pairs, schedule = _load_data(args)
     log: list = []
     params = mfn.train_inference(
         pairs,
@@ -159,8 +157,7 @@ def cmd_train_mfn_inference(args) -> int:
 
 def cmd_train_mfn_disc(args) -> int:
     theta = _load_crf_params(args.params)
-    pairs = _load_pairs(args.data)
-    schedule = _schedule_for(args.schedule, pairs[0][0].shape)
+    pairs, schedule = _load_data(args)
     protocol = DiscProtocol(
         phase1_steps=args.phase1_steps,
         phase1_lr=args.phase1_lr,
@@ -183,8 +180,7 @@ def cmd_train_mfn_disc(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_model(args.model)
-    pairs = _load_pairs(args.data)
-    schedule = _schedule_for(args.schedule, pairs[0][0].shape)
+    pairs, schedule = _load_data(args)
     accs = []
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:

@@ -253,9 +253,10 @@ def layer_inputs(
     built: dict = {}
 
     def once(array, make):
-        if id(array) not in built:
-            built[id(array)] = make(array)
-        return built[id(array)]
+        hit = built.get(id(array))
+        if hit is None:
+            hit = built[id(array)] = make(array)
+        return hit
 
     return [
         (

@@ -80,8 +80,12 @@ def run_grad_check(
         for n_layers in range(1, max_layers + 1):
             for tied in (True, False):
                 for sched_name, schedule in schedules.items():
-                    thetas = [random_theta() for _ in range(1 if tied else n_layers)]
-                    params = MfnParams(tied=tied, layers=thetas)
+                    if tied:
+                        params = MfnParams(tied=True, layers=[random_theta()])
+                    else:
+                        params = MfnParams(
+                            tied=False, layers=[random_theta() for _ in range(n_layers)]
+                        )
                     err = check_config(
                         y,
                         params,
