@@ -53,22 +53,33 @@ def _write_jsonl(path, rows) -> None:
             f.write(json.dumps(row) + "\n")
 
 
-def _read_params(path) -> dict:
+CRF_FORMAT = "a CRF parameter object with keys w, p_h, p_v"
+MODEL_FORMAT = f"an MFN model with keys tied, layers, or {CRF_FORMAT}"
+
+
+def _read_params(path, parse, expected):
+    """parse(d) of the JSON object in `path`; a missing key is reported with
+    the file and the `expected` format."""
     d = json.loads(Path(path).read_text())
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")
-    return d
+    try:
+        return parse(d)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}; expected {expected}") from None
 
 
 def _load_crf_params(path) -> CrfParams:
-    return CrfParams.from_json_dict(_read_params(path))
+    return _read_params(path, CrfParams.from_json_dict, CRF_FORMAT)
 
 
 def _load_model(path) -> MfnParams:
-    d = _read_params(path)
-    if "tied" in d:
-        return MfnParams.from_json_dict(d)
-    return MfnParams.tied_from(CrfParams.from_json_dict(d))
+    def parse(d):
+        if "tied" in d:
+            return MfnParams.from_json_dict(d)
+        return MfnParams.tied_from(CrfParams.from_json_dict(d))
+
+    return _read_params(path, parse, MODEL_FORMAT)
 
 
 def cmd_gen_data(args) -> int:

@@ -13,13 +13,23 @@ sweep runs as 149 anti-diagonal steps instead of 5,000.
 The same step loop runs plain mean field and the unrolled network; the
 tape recorded here is what the reverse pass consumes.
 
-Layout: callers pass and receive per-site arrays as (n, K), but inside the
-forward and reverse passes every per-site array is label-major: q, unary
-potentials and their gradients are (K, n), message tables are (K, K, 2E)
-and tape arrays are (K, rows). With K small and a block step touching
-thousands of sites, each softmax, reduction and product then runs over
-long contiguous rows instead of a length-K last axis, and block writes go
-through one flat index (`k * n + site`) per step.
+Reduced form: a softmax ignores a constant added to a site's activations,
+so the engine pins label 0's activation at 0 and carries only labels
+1..K-1 (`layer_inputs` builds the matching unary and message tables). For
+the binary CRF this is the magnetization form of mean field,
+q_s = sigmoid(h_s + sum_t (c_st + s_st q_t)). Callers still pass and
+receive (n, K) arrays: label 0 of q0 is not read, since q0 is a
+distribution; label 0 of a returned q is one minus the others; returned
+activations are relative to label 0, so their column 0 is 0, and so is
+column 0 of the reverse pass's gradient for q0.
+
+Layout: inside the forward and reverse passes every per-site array is
+label-major: q, unary potentials and their gradients are (K-1, n),
+message tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). With
+K small and a block step touching thousands of sites, each softmax,
+reduction and product then runs over long contiguous rows instead of a
+short last axis, and block writes go through one flat index
+(`k * n + site`) per step.
 """
 from __future__ import annotations
 
@@ -30,7 +40,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .mrf import GraphTopology, row_softmax
+from .mrf import GraphTopology
 
 
 @dataclass(frozen=True)
@@ -98,8 +108,8 @@ class BlockStep:
 
     Every edge carries one message into each endpoint. Message d of this step
     reads site `reads[read_idx[d]]` through oriented table
-    `[:, :, msgs.start + d]` of `CompiledSchedule.tables(pairwise)` and adds
-    into block position `pos[d]`.
+    `[:, :, msgs.start + d]` of the `layer_inputs` tables and adds into block
+    position `pos[d]`.
     """
 
     verts: np.ndarray     # (B,) vertices updated in this step
@@ -114,8 +124,9 @@ class BlockStep:
 
 
 class StepIndex(NamedTuple):
-    """One block step's flat indices into label-major arrays for K labels;
-    each lists label 0's entries, then label 1's, and so on."""
+    """One block step's flat indices into label-major arrays of K rows (the
+    engine uses K-1, one per reduced label); each lists row 0's entries,
+    then row 1's, and so on."""
 
     verts: np.ndarray     # (K*B,) k * n + block site: the block in a (K, n) array
     reads: np.ndarray     # (K*R,) k * n + read site: the read sites in a (K, n) array
@@ -162,9 +173,9 @@ class CompiledSchedule:
         return idx
 
     def tables(self, pairwise: np.ndarray) -> np.ndarray:
-        """(K, K, 2E) message tables in step order; each step reads a slice
-        of the last axis. Entry [k, l, d] weights label l of message d's read
-        site into label k of its target."""
+        """(K, K, 2E) message tables in step order from (E, K, K) edge
+        tables; each step reads a slice of the last axis. Entry [k, l, d]
+        weights label l of message d's read site into label k of its target."""
         idx = self.table_index(pairwise.shape[1])
         return np.asarray(pairwise, dtype=np.float64).reshape(-1).take(idx)
 
@@ -245,46 +256,111 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     return CompiledSchedule(topology=topology, steps=steps, table_order=order)
 
 
+def _reduction(K: int) -> np.ndarray:
+    """(K-1, K) map from a K-vector v to its differences v_k - v_0, k >= 1."""
+    return np.hstack([-np.ones((K - 1, 1)), np.eye(K - 1)])
+
+
+def _table_map(K: int) -> np.ndarray:
+    """((K-1)^2 + 2(K-1), K*K) map from a flat K x K edge table P to its
+    flat reduced table R P R^T, then the message constants of its lower
+    endpoint (R P[:, 0]) and of its upper endpoint (R P[0, :]). Its
+    transpose pulls gradients on those back to P."""
+    R, e0 = _reduction(K), np.eye(K)[:1]
+    return np.vstack([np.kron(R, R), np.kron(R, e0), np.kron(e0, R)])
+
+
+def _constant_bins(topology: GraphTopology, K1: int) -> np.ndarray:
+    """(E, 2*K1) flat (K1, n) index `k * n + site` of the target of each
+    message constant from `_table_map`: the lower endpoint, then the upper."""
+    lo, hi = topology.edges.T
+    k = np.arange(K1) * topology.n_vertices
+    return np.hstack([lo[:, None] + k, hi[:, None] + k])
+
+
 def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
-    """Label-major (unary (K, n), `compiled.tables(pairwise)`) of each layer,
-    each built once per distinct array (30 tied sweeps build one pair)."""
+    """Reduced label-major (unary (K-1, n), tables (K-1, K-1, 2E)) of each
+    layer, each built once per distinct (unary, pairwise) pair (30 tied
+    sweeps build one).
+
+    A softmax ignores a constant added to a site's activations, so label 0
+    is pinned at 0 and only the differences a_k - a_0, k >= 1, are carried.
+    With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
+    T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to difference k, where
+    T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables are
+    `compiled.tables` of the reduced edge tables (the reduction commutes
+    with transposition); the constants are summed into each message's
+    target site, on top of the unary differences u_k - u_0.
+    """
     built: dict = {}
 
-    def once(array, make):
-        hit = built.get(id(array))
-        if hit is None:
-            hit = built[id(array)] = make(array)
-        return hit
+    def reduce(unary, pairwise):
+        unary = np.asarray(unary, dtype=np.float64)
+        n, K = unary.shape
+        E, K1 = compiled.topology.n_edges, K - 1
+        parts = np.reshape(pairwise, (E, K * K)) @ _table_map(K).T
+        bins = _constant_bins(compiled.topology, K1)
+        const = np.bincount(bins.ravel(), parts[:, K1 * K1 :].ravel(), minlength=K1 * n)
+        tables = compiled.tables(parts[:, : K1 * K1].reshape(E, K1, K1))
+        return _reduction(K) @ unary.T + const.reshape(K1, n), tables
 
-    return [
-        (
-            once(unary, lambda u: np.array(u.T, dtype=np.float64, order="C")),
-            once(pairwise, compiled.tables),
-        )
-        for unary, pairwise in layers
-    ]
+    inputs = []
+    for unary, pairwise in layers:
+        key = (id(unary), id(pairwise))
+        if key not in built:
+            built[key] = reduce(unary, pairwise)
+        inputs.append(built[key])
+    return inputs
 
 
 def block_activations(
     unary: np.ndarray, tables: np.ndarray, st: BlockStep, ix: StepIndex, q_read: np.ndarray
 ) -> np.ndarray:
-    """Pre-softmax activations (K, B) for the block's sites, given its layer's
-    label-major unary (K, n) and tables (`layer_inputs`), the step's
-    StepIndex and the q columns of its read sites, (K, R)."""
-    K, B = unary.shape[0], st.verts.size
-    msg = np.einsum("kld,ld->kd", tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1))
-    sums = np.bincount(ix.pos, msg.ravel(), minlength=K * B)
-    return unary.take(st.verts, axis=1) + sums.reshape(K, B)
+    """Reduced activations (K-1, B) for the block's sites, given its layer's
+    `layer_inputs` unary (K-1, n) and tables, the step's StepIndex for K-1
+    labels and the reduced q columns of its read sites, (K-1, R)."""
+    K1, B = unary.shape[0], st.verts.size
+    tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
+    # A loop over the K-1 read labels beats einsum's dispatch at these sizes.
+    msg = tab[:, 0] * q_msg[0]
+    for l in range(1, K1):
+        msg += tab[:, l] * q_msg[l]
+    sums = np.bincount(ix.pos, msg.ravel(), minlength=K1 * B)
+    return unary.take(st.verts, axis=1) + sums.reshape(K1, B)
+
+
+def reduced_softmax(a: np.ndarray) -> np.ndarray:
+    """Probabilities of labels 1..K-1 from reduced activations (K-1, B):
+    the softmax over label-major rows with label 0's activation pinned at 0.
+
+    Each row is shifted by the larger of 0 and the site's largest
+    activation, so no exponent overflows for finite input.
+    """
+    m = np.maximum(a[0], 0.0)
+    for row in a[1:]:
+        np.maximum(m, row, out=m)
+    z = np.exp(a - m)
+    total = np.exp(np.negative(m, out=m), out=m)
+    for row in z:
+        total += row
+    z /= total
+    return z
 
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One block step of a taped forward run: what the reverse pass reads."""
+    """One block step of a taped forward run: what the reverse pass reads.
+    Rows are labels 1..K-1; label 0's probability is one minus their sum."""
 
-    q_read_km: np.ndarray  # (K, R) q of the step's read sites
-    q_out_km: np.ndarray   # (K, B) q the step wrote
+    q_read_km: np.ndarray  # (K-1, R) q of the step's read sites
+    q_out_km: np.ndarray   # (K-1, B) q the step wrote
+
+
+def _full(q_reduced: np.ndarray) -> np.ndarray:
+    """(n, K) distribution from the (K-1, n) probabilities of labels 1..K-1."""
+    return np.hstack([1.0 - q_reduced.sum(axis=0)[:, None], q_reduced.T])
 
 
 def run_unrolled(
@@ -296,8 +372,12 @@ def run_unrolled(
     inputs: Optional[list] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
-    q and the last layer's pre-softmax activations, as contiguous (n, K)
-    arrays (zeros when there are no layers).
+    q and the last layer's activations relative to label 0 (column 0 is
+    all zeros), as contiguous (n, K) arrays. With no layers they are q0 and
+    zeros.
+
+    Only labels 1..K-1 of q0 are read: q0 is a distribution, so label 0 is
+    one minus their sum, and so is column 0 of every q returned.
 
     `layers` is a sequence of (unary, pairwise) pairs, one per sweep; plain
     mean field passes the same pair M times. `inputs` is their
@@ -308,9 +388,11 @@ def run_unrolled(
 
     Raises FloatingPointError when the final q is not finite.
     """
-    q = np.array(np.transpose(q0), dtype=np.float64, order="C")
+    if not len(layers):
+        return np.array(q0, dtype=np.float64), np.zeros(np.shape(q0))
+    q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
     q_flat = q.reshape(-1)
-    a_final = np.zeros_like(q)
+    a_final = np.empty_like(q)
     a_flat = a_final.reshape(-1)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
@@ -321,7 +403,7 @@ def run_unrolled(
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)
             a = block_activations(unary, tables, st, ix, q_read)
-            q_new = row_softmax(a, axis=0)
+            q_new = reduced_softmax(a)
             if tape is not None:
                 tape.append(StepRecord(q_read, q_new))
             # A 1-D indexed write: 2-D fancy writes and `put` are 2-3x slower.
@@ -329,10 +411,10 @@ def run_unrolled(
             if last:
                 a_flat[ix.verts] = a.reshape(-1)
         if sweep_hook is not None:
-            sweep_hook(m, np.ascontiguousarray(q.T))
+            sweep_hook(m, _full(q))
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
-    return np.ascontiguousarray(q.T), np.ascontiguousarray(a_final.T)
+    return _full(q), np.hstack([np.zeros((q.shape[1], 1)), a_final.T])
 
 
 def backward_unrolled(
@@ -347,13 +429,16 @@ def backward_unrolled(
 
     `gq_final` (n, K) is the loss gradient with respect to the final q
     values; `ga_final` (n, K) is a loss gradient applied directly to each
-    site's final activations (bypassing the closing softmax). Either or both
-    may be given. `inputs` is the forward's `layer_inputs`, rebuilt here
-    when not given.
+    site's final activations (bypassing the closing softmax; column 0 is
+    not read, as the forward pins it at 0). Either or both may be given.
+    `inputs` is the forward's `layer_inputs`, rebuilt here when not given.
 
-    Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and (E, K, K)
-    arrays per layer, and the (n, K) gradient with respect to the initial
-    distribution q0.
+    The step loop runs on the K-1 reduced channels; each layer's gradients
+    are then lifted back through the transpose of the `layer_inputs`
+    reduction. Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and
+    (E, K, K) arrays per layer, and the (n, K) gradient with respect to the
+    initial distribution q0, whose column 0 is 0 (the forward does not
+    read it).
     """
     n_layers = len(layers)
     n_steps = len(compiled.steps)
@@ -361,20 +446,18 @@ def backward_unrolled(
         raise ValueError("tape length does not match layers and schedule")
     n = compiled.topology.n_vertices
     K = layers[0][0].shape[1]
+    R = _reduction(K)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
-    dunary = [np.empty((K, n)) for _ in range(n_layers)]
+    dunary = [np.empty((K - 1, n)) for _ in range(n_layers)]
     dtables = [np.empty_like(tables) for _, tables in inputs]
-    gq = (
-        np.array(np.transpose(gq_final), dtype=np.float64, order="C")
-        if gq_final is not None
-        else np.zeros((K, n))
-    )
+    # Column 0 of the output q is one minus the others.
+    gq = R @ np.transpose(gq_final) if gq_final is not None else np.zeros((K - 1, n))
     gq_flat = gq.reshape(-1)
-    ga = np.ascontiguousarray(np.transpose(ga_final)) if ga_final is not None else None
-    index = compiled.flat_index(K)
+    ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
+    index = compiled.flat_index(K - 1)
     for gs in range(n_layers * n_steps - 1, -1, -1):
         m, ls = divmod(gs, n_steps)
         st, ix, rec = compiled.steps[ls], index[ls], tape[gs]
@@ -387,11 +470,21 @@ def backward_unrolled(
         dunary[m].reshape(-1)[ix.verts] = da.reshape(-1)
         da_msg = da.take(st.pos, axis=1)
         q_msg = rec.q_read_km.take(st.read_idx, axis=1)
-        dtables[m][:, :, st.msgs] = np.einsum("kd,ld->kld", da_msg, q_msg)
-        g_read = np.einsum("kld,kd->ld", inputs[m][1][:, :, st.msgs], da_msg)
+        np.multiply(da_msg[:, None], q_msg, out=dtables[m][:, :, st.msgs])
+        tab = inputs[m][1][:, :, st.msgs]
+        g_read = tab[0] * da_msg[0]
+        for k in range(1, K - 1):
+            g_read += tab[k] * da_msg[k]
         gq_flat[ix.reads] += np.bincount(ix.read_idx, g_read.ravel(), minlength=ix.reads.size)
-    return (
-        [np.ascontiguousarray(d.T) for d in dunary],
-        [compiled.fold(d) for d in dtables],
-        np.ascontiguousarray(gq.T),
-    )
+
+    # The transpose of the `layer_inputs` reduction, one layer at a time.
+    W, bins = _table_map(K), _constant_bins(compiled.topology, K - 1)
+    E = compiled.topology.n_edges
+    dpair = [
+        (np.hstack([compiled.fold(dt).reshape(E, (K - 1) ** 2), du.reshape(-1).take(bins)]) @ W)
+        .reshape(E, K, K)
+        for du, dt in zip(dunary, dtables)
+    ]
+    gq0 = np.zeros((n, K))
+    gq0[:, 1:] = gq.T
+    return [du.T @ R for du in dunary], dpair, gq0

@@ -121,12 +121,11 @@ def energy(mrf: PairwiseMRF, x: np.ndarray) -> float:
     return total
 
 
-def row_softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax along `axis` (the label axis; rows by default) with max
-    subtraction."""
+def row_softmax(a: np.ndarray) -> np.ndarray:
+    """Softmax along the last (label) axis with max subtraction."""
     a = np.asarray(a, dtype=np.float64)
-    z = np.exp(a - a.max(axis=axis, keepdims=True))
-    return z / z.sum(axis=axis, keepdims=True)
+    z = np.exp(a - a.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def softmax_init(mrf: PairwiseMRF) -> FactorialDistribution:

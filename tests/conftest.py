@@ -34,17 +34,16 @@ def random_mrf(rng, n_vertices, K, edge_p=0.5, scale=1.5):
 def replay(trace):
     """Recompute a forward trace's output from its recorded reads alone."""
     from mfnet import engine
-    from mfnet.mrf import row_softmax
 
-    q = trace.q0.T.copy()
+    q = trace.q0.T[1:].copy()
     q_flat = q.reshape(-1)
     steps, index = trace.compiled.steps, trace.compiled.flat_index(q.shape[0])
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))
         unary, tables = trace.inputs[m]
         a = engine.block_activations(unary, tables, steps[ls], index[ls], rec.q_read_km)
-        q_flat[index[ls].verts] = row_softmax(a, axis=0).reshape(-1)
-    return q.T
+        q_flat[index[ls].verts] = engine.reduced_softmax(a).reshape(-1)
+    return np.hstack([1.0 - q.sum(axis=0)[:, None], q.T])
 
 
 def random_q(rng, n_vertices, K):

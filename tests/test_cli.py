@@ -12,6 +12,7 @@ import pytest
 from mfnet import data
 from mfnet.cli import build_parser, main
 from mfnet.crf import theta0
+from mfnet.mfn import MfnParams
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +191,35 @@ class TestErrors:
         code, _, err = run_cli(capsys, "train-crf", "--data", str(other),
                                "--out", str(tmp_path / "params.json"))
         self.assert_one_line_naming(code, err, other)
+
+    def test_model_as_crf_parameters_names_the_missing_key(self, tiny_dataset, tmp_path,
+                                                           capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(MfnParams.tied_from(theta0()).untied_copy(2).to_json_dict()))
+        code, _, err = run_cli(capsys, "run-mf", "--params", str(model),
+                               "--data", str(tiny_dataset / "test"), "--iters", "1")
+        self.assert_one_line_naming(code, err, model)
+        assert "'w'" in err and "CRF parameter object" in err
+
+    def test_model_without_layers_names_the_missing_key(self, tiny_dataset, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"tied": True}))
+        code, _, err = run_cli(capsys, "eval", "--model", str(model),
+                               "--data", str(tiny_dataset / "test"), "--iters", "1")
+        self.assert_one_line_naming(code, err, model)
+        assert "'layers'" in err and "MFN model" in err
+
+    def test_crf_parameters_without_p_v_name_the_missing_key(self, tiny_dataset, tmp_path,
+                                                              capsys):
+        params = tmp_path / "theta.json"
+        d = theta0().to_json_dict()
+        del d["p_v"]
+        params.write_text(json.dumps(d))
+        code, _, err = run_cli(capsys, "train-mfn-inference", "--params", str(params),
+                               "--data", str(tiny_dataset / "train"),
+                               "--out", str(tmp_path / "kl.json"), "--steps", "0")
+        self.assert_one_line_naming(code, err, params)
+        assert "'p_v'" in err and "CRF parameter object" in err
 
     @pytest.mark.parametrize("command", ["eval", "run-mf"])
     def test_non_finite_inference_is_numerical_failure(self, tiny_dataset, tmp_path,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_mrf, random_q, replay
 from mfnet import meanfield, mfn
@@ -138,6 +141,19 @@ class TestHinge:
                 am[s, k] -= h
                 fd = (hinge_loss(ap, x_hat) - hinge_loss(am, x_hat)) / (2 * h)
                 assert abs(g[s, k] - fd) <= 1e-6 * max(1.0, abs(fd))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_invariant_to_a_per_site_shift(self, data):
+        # Multiples of 1/8 keep every sum exact, so the invariance holds bit
+        # for bit, ties included.
+        eighths = st.integers(-400, 400).map(lambda i: i / 8)
+        n, K = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4))
+        a = data.draw(arrays(np.float64, (n, K), elements=eighths))
+        shift = data.draw(arrays(np.float64, (n, 1), elements=eighths))
+        x_hat = data.draw(arrays(np.int64, n, elements=st.integers(0, K - 1)))
+        assert hinge_loss(a + shift, x_hat) == hinge_loss(a, x_hat)
+        np.testing.assert_array_equal(hinge_grad_a(a + shift, x_hat), hinge_grad_a(a, x_hat))
 
     def test_structure_random(self, rng):
         a = rng.normal(0, 3, (200, 4))
