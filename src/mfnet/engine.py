@@ -124,9 +124,8 @@ class BlockStep:
 
 
 class StepIndex(NamedTuple):
-    """One block step's flat indices into label-major arrays of K rows (the
-    engine uses K-1, one per reduced label); each lists row 0's entries,
-    then row 1's, and so on."""
+    """One block step's flat indices into label-major arrays for K labels;
+    each lists label 0's entries, then label 1's, and so on."""
 
     verts: np.ndarray     # (K*B,) k * n + block site: the block in a (K, n) array
     reads: np.ndarray     # (K*R,) k * n + read site: the read sites in a (K, n) array
@@ -173,9 +172,9 @@ class CompiledSchedule:
         return idx
 
     def tables(self, pairwise: np.ndarray) -> np.ndarray:
-        """(K, K, 2E) message tables in step order from (E, K, K) edge
-        tables; each step reads a slice of the last axis. Entry [k, l, d]
-        weights label l of message d's read site into label k of its target."""
+        """(K, K, 2E) message tables in step order; each step reads a slice
+        of the last axis. Entry [k, l, d] weights label l of message d's read
+        site into label k of its target."""
         idx = self.table_index(pairwise.shape[1])
         return np.asarray(pairwise, dtype=np.float64).reshape(-1).take(idx)
 
@@ -282,17 +281,14 @@ def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
     """Reduced label-major (unary (K-1, n), tables (K-1, K-1, 2E)) of each
-    layer, each built once per distinct (unary, pairwise) pair (30 tied
-    sweeps build one).
+    layer, built once per distinct (unary, pairwise) pair.
 
-    A softmax ignores a constant added to a site's activations, so label 0
-    is pinned at 0 and only the differences a_k - a_0, k >= 1, are carried.
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
-    T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to difference k, where
+    T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
     T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables are
     `compiled.tables` of the reduced edge tables (the reduction commutes
     with transposition); the constants are summed into each message's
-    target site, on top of the unary differences u_k - u_0.
+    target, on top of the unary differences u_k - u_0.
     """
     built: dict = {}
 
@@ -373,8 +369,8 @@ def run_unrolled(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
     q and the last layer's activations relative to label 0 (column 0 is
-    all zeros), as contiguous (n, K) arrays. With no layers they are q0 and
-    zeros.
+    all zeros), as contiguous (n, K) arrays (zeros when there are no
+    layers).
 
     Only labels 1..K-1 of q0 are read: q0 is a distribution, so label 0 is
     one minus their sum, and so is column 0 of every q returned.
@@ -388,11 +384,9 @@ def run_unrolled(
 
     Raises FloatingPointError when the final q is not finite.
     """
-    if not len(layers):
-        return np.array(q0, dtype=np.float64), np.zeros(np.shape(q0))
     q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
     q_flat = q.reshape(-1)
-    a_final = np.empty_like(q)
+    a_final = np.zeros_like(q)
     a_flat = a_final.reshape(-1)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
@@ -446,18 +440,18 @@ def backward_unrolled(
         raise ValueError("tape length does not match layers and schedule")
     n = compiled.topology.n_vertices
     K = layers[0][0].shape[1]
-    R = _reduction(K)
+    K1, R = K - 1, _reduction(K)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
-    dunary = [np.empty((K - 1, n)) for _ in range(n_layers)]
+    dunary = [np.empty((K1, n)) for _ in range(n_layers)]
     dtables = [np.empty_like(tables) for _, tables in inputs]
     # Column 0 of the output q is one minus the others.
-    gq = R @ np.transpose(gq_final) if gq_final is not None else np.zeros((K - 1, n))
+    gq = R @ np.transpose(gq_final) if gq_final is not None else np.zeros((K1, n))
     gq_flat = gq.reshape(-1)
     ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
-    index = compiled.flat_index(K - 1)
+    index = compiled.flat_index(K1)
     for gs in range(n_layers * n_steps - 1, -1, -1):
         m, ls = divmod(gs, n_steps)
         st, ix, rec = compiled.steps[ls], index[ls], tape[gs]
@@ -473,18 +467,19 @@ def backward_unrolled(
         np.multiply(da_msg[:, None], q_msg, out=dtables[m][:, :, st.msgs])
         tab = inputs[m][1][:, :, st.msgs]
         g_read = tab[0] * da_msg[0]
-        for k in range(1, K - 1):
+        for k in range(1, K1):
             g_read += tab[k] * da_msg[k]
         gq_flat[ix.reads] += np.bincount(ix.read_idx, g_read.ravel(), minlength=ix.reads.size)
 
     # The transpose of the `layer_inputs` reduction, one layer at a time.
-    W, bins = _table_map(K), _constant_bins(compiled.topology, K - 1)
+    W, bins = _table_map(K), _constant_bins(compiled.topology, K1)
     E = compiled.topology.n_edges
     dpair = [
-        (np.hstack([compiled.fold(dt).reshape(E, (K - 1) ** 2), du.reshape(-1).take(bins)]) @ W)
-        .reshape(E, K, K)
+        np.hstack([compiled.fold(dt).reshape(E, K1 * K1), du.reshape(-1).take(bins)]) @ W
         for du, dt in zip(dunary, dtables)
     ]
-    gq0 = np.zeros((n, K))
-    gq0[:, 1:] = gq.T
-    return [du.T @ R for du in dunary], dpair, gq0
+    return (
+        [du.T @ R for du in dunary],
+        [d.reshape(E, K, K) for d in dpair],
+        np.hstack([np.zeros((n, 1)), gq.T]),
+    )
