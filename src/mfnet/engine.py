@@ -260,21 +260,27 @@ def _reduction(K: int) -> np.ndarray:
     return np.hstack([-np.ones((K - 1, 1)), np.eye(K - 1)])
 
 
+@lru_cache(maxsize=None)
 def _table_map(K: int) -> np.ndarray:
     """((K-1)^2 + 2(K-1), K*K) map from a flat K x K edge table P to its
     flat reduced table R P R^T, then the message constants of its lower
     endpoint (R P[:, 0]) and of its upper endpoint (R P[0, :]). Its
     transpose pulls gradients on those back to P."""
     R, e0 = _reduction(K), np.eye(K)[:1]
-    return np.vstack([np.kron(R, R), np.kron(R, e0), np.kron(e0, R)])
+    W = np.vstack([np.kron(R, R), np.kron(R, e0), np.kron(e0, R)])
+    W.flags.writeable = False
+    return W
 
 
+@lru_cache(maxsize=64)
 def _constant_bins(topology: GraphTopology, K1: int) -> np.ndarray:
-    """(E, 2*K1) flat (K1, n) index `k * n + site` of the target of each
-    message constant from `_table_map`: the lower endpoint, then the upper."""
+    """(2*K1, E) flat (K1, n) index `k * n + site` of the target of each
+    message constant from `_table_map`: the lower endpoints, then the upper."""
     lo, hi = topology.edges.T
-    k = np.arange(K1) * topology.n_vertices
-    return np.hstack([lo[:, None] + k, hi[:, None] + k])
+    k = np.arange(K1)[:, None] * topology.n_vertices
+    bins = np.vstack([k + lo, k + hi])
+    bins.flags.writeable = False
+    return bins
 
 
 def layer_inputs(
@@ -296,10 +302,10 @@ def layer_inputs(
         unary = np.asarray(unary, dtype=np.float64)
         n, K = unary.shape
         E, K1 = compiled.topology.n_edges, K - 1
-        parts = np.reshape(pairwise, (E, K * K)) @ _table_map(K).T
+        parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
         bins = _constant_bins(compiled.topology, K1)
-        const = np.bincount(bins.ravel(), parts[:, K1 * K1 :].ravel(), minlength=K1 * n)
-        tables = compiled.tables(parts[:, : K1 * K1].reshape(E, K1, K1))
+        const = np.bincount(bins.ravel(), parts[K1 * K1 :].ravel(), minlength=K1 * n)
+        tables = compiled.tables(parts[: K1 * K1].T.reshape(E, K1, K1))
         return _reduction(K) @ unary.T + const.reshape(K1, n), tables
 
     inputs = []
@@ -475,7 +481,7 @@ def backward_unrolled(
     W, bins = _table_map(K), _constant_bins(compiled.topology, K1)
     E = compiled.topology.n_edges
     dpair = [
-        np.hstack([compiled.fold(dt).reshape(E, K1 * K1), du.reshape(-1).take(bins)]) @ W
+        np.vstack([compiled.fold(dt).reshape(E, K1 * K1).T, du.reshape(-1).take(bins)]).T @ W
         for du, dt in zip(dunary, dtables)
     ]
     return (
