@@ -210,6 +210,11 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     from .gradcheck import run_grad_check
 
+    for flag, value in (("--size", args.size), ("--max-layers", args.max_layers)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     report = run_grad_check(
         size=args.size,
         max_layers=args.max_layers,

@@ -142,6 +142,7 @@ class CompiledSchedule:
     table_order: np.ndarray
     _table_index: dict = field(default_factory=dict, repr=False)
     _flat_index: dict = field(default_factory=dict, repr=False)
+    _table_inputs: dict = field(default_factory=dict, repr=False)
 
     def flat_index(self, K: int) -> List[StepIndex]:
         """The StepIndex of every step for K labels, built once per K."""
@@ -160,8 +161,9 @@ class CompiledSchedule:
         return index
 
     def table_index(self, K: int) -> np.ndarray:
-        """(K, K, 2E) flat (E, K, K) pairwise entry behind each table entry;
-        built once per K."""
+        """(K, K, 2E) index into a flat (E, K, K) pairwise array of the entry
+        behind message table entry [k, l, d], which weights label l of message
+        d's read site into label k of its target; built once per K."""
         idx = self._table_index.get(K)
         if idx is None:
             E = self.topology.n_edges
@@ -171,15 +173,8 @@ class CompiledSchedule:
             idx = self._table_index[K] = np.where(upper, base + l * K + k, base + k * K + l)
         return idx
 
-    def tables(self, pairwise: np.ndarray) -> np.ndarray:
-        """(K, K, 2E) message tables in step order; each step reads a slice
-        of the last axis. Entry [k, l, d] weights label l of message d's read
-        site into label k of its target."""
-        idx = self.table_index(pairwise.shape[1])
-        return np.asarray(pairwise, dtype=np.float64).reshape(-1).take(idx)
-
     def fold(self, dtables: np.ndarray) -> np.ndarray:
-        """Gradient for `tables(pairwise)` -> gradient for pairwise (E, K, K):
+        """Gradient for message tables -> gradient for pairwise (E, K, K):
         each pairwise entry sums its two oriented copies."""
         E, K = self.topology.n_edges, dtables.shape[0]
         sums = np.bincount(self.table_index(K).ravel(), dtables.ravel(), minlength=E * K * K)
@@ -283,6 +278,32 @@ def _constant_bins(topology: GraphTopology, K1: int) -> np.ndarray:
     return bins
 
 
+TABLE_STORE = 4  # per compiled schedule; an untied 3-layer network uses 3
+
+
+def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
+    """The image-free part of `layer_inputs`: message constants summed into
+    their targets (K-1, n), and the reduced tables. Stored for read-only arrays
+    that own their data, holding each so its id is not reused; others are rebuilt."""
+    store, key = compiled._table_inputs, id(pairwise)
+    frozen = not pairwise.flags.writeable and pairwise.base is None
+    if frozen and key in store:
+        return store[key][1]
+    n, E, K = compiled.topology.n_vertices, compiled.topology.n_edges, pairwise.shape[-1]
+    K1 = K - 1
+    parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
+    bins = _constant_bins(compiled.topology, K1)
+    const = np.bincount(bins.ravel(), parts[K1 * K1 :].ravel(), minlength=K1 * n)
+    out = const.reshape(K1, n), parts[: K1 * K1].T.reshape(-1).take(compiled.table_index(K1))
+    if frozen:
+        for a in out:
+            a.flags.writeable = False
+        if len(store) >= TABLE_STORE:
+            del store[next(iter(store))]
+        store[key] = (pairwise, out)
+    return out
+
+
 def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
@@ -291,28 +312,20 @@ def layer_inputs(
 
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
     T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
-    T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables are
-    `compiled.tables` of the reduced edge tables (the reduction commutes
-    with transposition); the constants are summed into each message's
-    target, on top of the unary differences u_k - u_0.
+    T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables hold T' in
+    `compiled.table_index` order (the reduction commutes with
+    transposition); the constants are summed into each message's
+    target, on top of the unary differences u_k - u_0. Only the latter
+    depend on the image; `_table_inputs` reuses the rest.
     """
     built: dict = {}
-
-    def reduce(unary, pairwise):
-        unary = np.asarray(unary, dtype=np.float64)
-        n, K = unary.shape
-        E, K1 = compiled.topology.n_edges, K - 1
-        parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
-        bins = _constant_bins(compiled.topology, K1)
-        const = np.bincount(bins.ravel(), parts[K1 * K1 :].ravel(), minlength=K1 * n)
-        tables = compiled.tables(parts[: K1 * K1].T.reshape(E, K1, K1))
-        return _reduction(K) @ unary.T + const.reshape(K1, n), tables
-
     inputs = []
     for unary, pairwise in layers:
         key = (id(unary), id(pairwise))
         if key not in built:
-            built[key] = reduce(unary, pairwise)
+            const, tables = _table_inputs(compiled, pairwise)
+            unary = np.asarray(unary, dtype=np.float64)
+            built[key] = np.subtract(unary.T[1:], unary[:, 0]) + const, tables
         inputs.append(built[key])
     return inputs
 
@@ -361,9 +374,12 @@ class StepRecord:
     q_out_km: np.ndarray   # (K-1, B) q the step wrote
 
 
-def _full(q_reduced: np.ndarray) -> np.ndarray:
-    """(n, K) distribution from the (K-1, n) probabilities of labels 1..K-1."""
-    return np.hstack([1.0 - q_reduced.sum(axis=0)[:, None], q_reduced.T])
+def _full(first, rest: np.ndarray) -> np.ndarray:
+    """(n, K) array: column 0 is `first`, columns 1.. the rows of `rest`."""
+    out = np.empty((rest.shape[1], rest.shape[0] + 1))
+    out[:, 0] = first
+    out[:, 1:] = rest.T
+    return out
 
 
 def run_unrolled(
@@ -412,10 +428,10 @@ def run_unrolled(
             if last:
                 a_flat[ix.verts] = a.reshape(-1)
         if sweep_hook is not None:
-            sweep_hook(m, _full(q))
+            sweep_hook(m, _full(1.0 - q.sum(axis=0), q))
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
-    return _full(q), np.hstack([np.zeros((q.shape[1], 1)), a_final.T])
+    return _full(1.0 - q.sum(axis=0), q), _full(0.0, a_final)
 
 
 def backward_unrolled(
@@ -488,5 +504,5 @@ def backward_unrolled(
     return (
         [du.T @ R for du in dunary],
         [d.reshape(E, K, K) for d in dpair],
-        np.hstack([np.zeros((n, 1)), gq.T]),
+        _full(0.0, gq),
     )

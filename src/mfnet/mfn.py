@@ -9,6 +9,7 @@ loss on the final activations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,9 +32,6 @@ class MfnParams:
             raise ValueError("tied parameters hold exactly one layer entry")
         if not self.layers:
             raise ValueError("need at least one layer")
-
-    def layer(self, m: int) -> CrfParams:
-        return self.layers[0] if self.tied else self.layers[m]
 
     def to_vector(self) -> np.ndarray:
         return np.concatenate([p.to_vector() for p in self.layers])
@@ -109,10 +107,7 @@ def forward(
     if not params.tied and len(params.layers) != n_layers:
         raise ValueError("untied parameters must provide one entry per layer")
     y = np.asarray(y, dtype=np.float64)
-    if params.tied:
-        mrfs = [build_mrf(y, params.layer(0))] * n_layers
-    else:
-        mrfs = [build_mrf(y, p) for p in params.layers]
+    mrfs = [build_mrf(y, p) for p in params.layers] * (n_layers if params.tied else 1)
     return forward_mrfs(mrfs, schedule)
 
 
@@ -145,29 +140,37 @@ def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
     return np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary - sums.reshape(q.shape)
 
 
-def _hinge_scores(a: np.ndarray, x_hat: np.ndarray, c: float) -> np.ndarray:
-    delta = np.full(a.shape, c)
-    delta[np.arange(len(a)), x_hat] = 0.0
-    return a + delta
+def _hinge_scores(a: np.ndarray, x_hat, c: float) -> tuple:
+    """Checked labels and one (n,) row per label k of the scores a_k + c[k != label]."""
+    x_hat = np.asarray(x_hat, dtype=np.int64).reshape(-1)
+    n, K = a.shape
+    if x_hat.shape != (n,):
+        raise ValueError(f"{x_hat.size} labels given for {n} sites")
+    bad = x_hat[(x_hat < 0) | (x_hat >= K)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {K} labels")
+    return x_hat, [a[:, k] + c * (x_hat != k) for k in range(K)]
 
 
 def hinge_loss(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> float:
     """Sum over sites of max_k(a_k + c[k != label]) minus the true label's activation."""
     a = np.asarray(a, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.int64).reshape(-1)
-    scores = _hinge_scores(a, x_hat, c)
-    return float(np.sum(scores.max(axis=1) - a[np.arange(len(a)), x_hat]))
+    x_hat, scores = _hinge_scores(a, x_hat, c)
+    true = a.reshape(-1).take(x_hat + a.shape[1] * np.arange(len(a)))
+    return float(np.sum(reduce(np.maximum, scores) - true))
 
 
 def hinge_grad_a(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Per-site hinge gradient: +1 at the loss-augmented argmax, -1 at the true label."""
+    """Per-site hinge gradient: +1 at the first loss-augmented argmax, -1 at the true label."""
     a = np.asarray(a, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.int64).reshape(-1)
-    k_star = np.argmax(_hinge_scores(a, x_hat, c), axis=1)
-    g = np.zeros_like(a)
-    rows = np.arange(len(a))
-    g[rows, k_star] = 1.0
-    g[rows, x_hat] -= 1.0
+    x_hat, scores = _hinge_scores(a, x_hat, c)
+    top, k_star = scores[0], np.zeros(len(x_hat), dtype=np.int64)
+    for k in range(1, len(scores)):
+        k_star[scores[k] > top] = k
+        top = np.maximum(top, scores[k])
+    g = np.empty(a.shape)
+    for k in range(len(scores)):
+        np.subtract(k_star == k, x_hat == k, out=g[:, k], dtype=np.float64)
     return g
 
 
@@ -196,8 +199,8 @@ def backward(
     )
     # q0 is the softmax of the first layer's unaries; fold its gradient in.
     q0 = trace.q0
-    da0 = q0 * (gq0 - np.sum(gq0 * q0, axis=1, keepdims=True))
-    dunary[0] = dunary[0] + da0
+    dot = reduce(np.add, [gq0[:, k] * q0[:, k] for k in range(q0.shape[1])])
+    dunary[0] += q0 * (gq0 - dot[:, None])
 
     # Both diagonal entries of an edge's Potts table hold its penalty.
     y = np.asarray(y, dtype=np.float64)

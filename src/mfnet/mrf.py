@@ -7,6 +7,7 @@ with the row indexing the lower-numbered endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -64,9 +65,10 @@ class PairwiseMRF:
         if self.K < 2:
             raise ValueError("need at least two labels")
         unary = np.asarray(self.unary, dtype=np.float64)
-        pairwise = np.asarray(self.pairwise, dtype=np.float64).reshape(
-            self.topology.n_edges, self.K, self.K
-        )
+        pairwise = np.asarray(self.pairwise, dtype=np.float64)
+        shape = (self.topology.n_edges, self.K, self.K)
+        if pairwise.shape != shape:  # else keep the caller's array: caches key on it
+            pairwise = pairwise.reshape(shape)
         if unary.shape != (self.topology.n_vertices, self.K):
             raise ValueError(
                 f"unary shape {unary.shape} does not match "
@@ -122,10 +124,13 @@ def energy(mrf: PairwiseMRF, x: np.ndarray) -> float:
 
 
 def row_softmax(a: np.ndarray) -> np.ndarray:
-    """Softmax along the last (label) axis with max subtraction."""
+    """Softmax along the last (label) axis with max subtraction; the max and
+    the sum loop over labels, as reductions along a short axis are slow."""
     a = np.asarray(a, dtype=np.float64)
-    z = np.exp(a - a.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+    labels = range(a.shape[-1])
+    z = np.exp(a - reduce(np.maximum, [a[..., k] for k in labels])[..., None])
+    z /= reduce(np.add, [z[..., k] for k in labels])[..., None]
+    return z
 
 
 def softmax_init(mrf: PairwiseMRF) -> FactorialDistribution:

@@ -221,6 +221,16 @@ class TestErrors:
         self.assert_one_line_naming(code, err, params)
         assert "'p_v'" in err and "CRF parameter object" in err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-layers", "0"), ("--size", "0"), ("--size", "-2"), ("--tol", "-1"),
+        ("--tol", "0"), ("--tol", "nan"),
+    ])
+    def test_grad_check_flag_out_of_range_names_the_flag(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "grad-check", flag, value)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {flag} ")
+
     @pytest.mark.parametrize("command", ["eval", "run-mf"])
     def test_non_finite_inference_is_numerical_failure(self, tiny_dataset, tmp_path,
                                                        capsys, command):

@@ -106,6 +106,20 @@ class TestBuildMrf:
             np.testing.assert_allclose(table, -3.0 * np.eye(2))
 
 
+    def test_tables_are_read_only_and_shared_per_penalty_pair(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.random((4, 5)), rng.random((4, 5))
+        th = CrfParams(w=rng.normal(size=26), p_h=0.5, p_v=-1.5)
+        pa, pb = build_mrf(a, th).pairwise, build_mrf(b, CrfParams.from_vector(th.to_vector())).pairwise
+        assert pa is pb and not pa.flags.writeable
+        with pytest.raises(ValueError):
+            pa[0, 0, 0] = 1.0
+        for other in (CrfParams(w=th.w, p_h=0.5, p_v=1.5), CrfParams(w=th.w, p_h=-1.5, p_v=0.5)):
+            p = build_mrf(a, other).pairwise
+            assert p is not pa and not np.array_equal(p, pa)
+        assert build_mrf(rng.random((5, 4)), th).pairwise.shape == (31, 2, 2)
+
+
 class TestTheta0:
     def test_values(self):
         th = theta0()

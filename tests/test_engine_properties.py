@@ -262,3 +262,53 @@ def test_edgeless_graph_compiles_to_one_step():
     topo = GraphTopology(n_vertices=5, edges=np.zeros((0, 2), dtype=np.int64))
     compiled = engine.compile_schedule(topo, Sequential((3, 1, 4, 0, 2)))
     assert [tuple(step.verts) for step in compiled.steps] == [(3, 1, 4, 0, 2)]
+
+
+def _frozen_copy(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_stored_table_inputs_equal_fresh_ones(problem):
+    mrfs, schedule = problem
+    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs]
+    first = engine.layer_inputs(compiled, frozen)
+    again = engine.layer_inputs(compiled, frozen)  # served from the store
+    fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
+    for (u1, t1), (u2, t2), (u3, t3) in zip(first, again, fresh):
+        assert t2 is t1 and not t1.flags.writeable
+        np.testing.assert_array_equal(u2, u3)
+        np.testing.assert_array_equal(t2, t3)
+
+
+def test_table_store_is_bounded_and_skips_writable_arrays(rng):
+    topo = GraphTopology(n_vertices=4, edges=[(0, 1), (1, 2), (2, 3)])
+    compiled = engine.compile_schedule(topo, engine.raster_schedule(4))
+    store = compiled._table_inputs
+    unary = rng.normal(size=(4, 2))
+    writable = rng.normal(size=(3, 2, 2))
+    view = writable.view()
+    view.flags.writeable = False  # read-only, but its base can still change
+    engine.layer_inputs(compiled, [(unary, writable), (unary, view)])
+    assert not store
+    for _ in range(engine.TABLE_STORE + 2):
+        engine.layer_inputs(compiled, [(unary, _frozen_copy(writable))])
+    assert len(store) == engine.TABLE_STORE
+
+
+def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):
+    topo = grid_graph(3, 4).topology
+    compiled = engine.compile_schedule(topo, engine.checkerboard_schedule(3, 4))
+    unary = rng.normal(size=(12, 2))
+    pairwise = rng.normal(size=(topo.n_edges, 2, 2))
+    q0 = row_softmax(unary)
+    before, _ = engine.run_unrolled([(unary, pairwise)] * 2, q0, compiled)
+    pairwise += 1.0
+    after, _ = engine.run_unrolled([(unary, pairwise)] * 2, q0, compiled)
+    fresh, _ = engine.run_unrolled([(unary, pairwise.copy())] * 2, q0, compiled)
+    assert not np.array_equal(before, after)
+    np.testing.assert_array_equal(after, fresh)

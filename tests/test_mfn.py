@@ -155,6 +155,46 @@ class TestHinge:
         assert hinge_loss(a + shift, x_hat) == hinge_loss(a, x_hat)
         np.testing.assert_array_equal(hinge_grad_a(a + shift, x_hat), hinge_grad_a(a, x_hat))
 
+    @staticmethod
+    def reference(a, x_hat, c):
+        """The (n, K) formula: loss-augmented scores, then reductions along the label axis."""
+        rows = np.arange(len(a))
+        delta = np.full(a.shape, c)
+        delta[rows, x_hat] = 0.0
+        scores = a + delta
+        loss = float(np.sum(scores.max(axis=1) - a[rows, x_hat]))
+        g = np.zeros_like(a)
+        g[rows, np.argmax(scores, axis=1)] = 1.0
+        g[rows, x_hat] -= 1.0
+        return loss, g
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_the_reference_formula(self, data):
+        # Quarters and c in {0.25, 0.5, 1, 2} make ties between scores common.
+        quarters = st.integers(-40, 40).map(lambda i: i / 4)
+        n, K = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 5))
+        a = data.draw(arrays(np.float64, (n, K), elements=quarters | st.floats(-1e3, 1e3)))
+        x_hat = data.draw(arrays(np.int64, n, elements=st.integers(0, K - 1)))
+        c = data.draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 0.3]))
+        loss, g = self.reference(a, x_hat, c)
+        assert hinge_loss(a, x_hat, c) == loss
+        np.testing.assert_array_equal(hinge_grad_a(a, x_hat, c), g)
+
+    @pytest.mark.parametrize("fn", [hinge_loss, hinge_grad_a])
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_label_out_of_range_rejected(self, fn, label):
+        a = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match=f"label {label} out of range"):
+            fn(a, [0, label, 1])
+
+    @pytest.mark.parametrize("fn", [hinge_loss, hinge_grad_a])
+    def test_wrong_label_count_rejected(self, fn):
+        a = np.zeros((3, 2))
+        for labels in ([0, 1], [0, 1, 1, 0]):
+            with pytest.raises(ValueError, match=f"{len(labels)} labels given for 3 sites"):
+                fn(a, labels)
+
     def test_structure_random(self, rng):
         a = rng.normal(0, 3, (200, 4))
         x_hat = rng.integers(0, 4, 200)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_mrf, random_q
 from mfnet.mrf import (
@@ -11,6 +12,7 @@ from mfnet.mrf import (
     GraphTopology,
     PairwiseMRF,
     energy,
+    row_softmax,
     softmax_init,
     unnormalized_kl,
 )
@@ -96,6 +98,51 @@ class TestSoftmaxInit:
         q1, q2 = softmax_init(m), softmax_init(shifted)
         np.testing.assert_allclose(q1.probs, q2.probs, atol=1e-12)
         np.testing.assert_allclose(q1.probs.sum(axis=1), 1.0, atol=1e-12)
+
+
+def max_shift_softmax(a):
+    """The reference formula: reductions along the last axis."""
+    z = np.exp(a - a.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+class TestRowSoftmax:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_the_max_shift_formula(self, data):
+        K = data.draw(st.integers(2, 6))
+        shape = data.draw(st.sampled_from([(K,), (data.draw(st.integers(1, 9)), K)]))
+        elements = st.one_of(
+            st.floats(-50.0, 50.0), st.sampled_from([-700.0, 700.0, -1e308, 1e308])
+        )
+        a = data.draw(arrays(np.float64, shape, elements=elements))
+        with np.errstate(over="ignore"):
+            q, ref = row_softmax(a), max_shift_softmax(a)
+        if K == 2:
+            np.testing.assert_array_equal(q, ref)
+        else:
+            np.testing.assert_allclose(q, ref, rtol=0, atol=1e-15)
+        assert np.all(np.isfinite(q))
+
+    def test_extreme_rows(self):
+        with np.errstate(over="ignore"):  # 1e308 - (-1e308) overflows to inf
+            q = row_softmax(np.array([[1e308, -1e308], [-1e308, -1e308], [1e308, 1e308]]))
+        np.testing.assert_array_equal(q, [[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+
+
+class TestPairwiseMRF:
+    def test_keeps_the_callers_table_array(self):
+        topo = GraphTopology(3, np.array([[0, 1], [1, 2]]))
+        pairwise = np.zeros((2, 2, 2))
+        m = PairwiseMRF(topo, 2, np.zeros((3, 2)), pairwise)
+        assert m.pairwise is pairwise
+        flat = PairwiseMRF(topo, 2, np.zeros((3, 2)), np.zeros((2, 4)))
+        assert flat.pairwise.shape == (2, 2, 2)
+
+    def test_non_finite_tables_rejected(self):
+        topo = GraphTopology(2, np.array([[0, 1]]))
+        with pytest.raises(ValueError, match="finite"):
+            PairwiseMRF(topo, 2, np.zeros((2, 2)), np.full((1, 2, 2), np.inf))
 
 
 class TestUnnormalizedKl:
