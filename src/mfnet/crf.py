@@ -96,13 +96,14 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
         return hit[1]
     h, w = y.shape
     padded = np.pad(y, WINDOW // 2)
-    # One slice copy per window cell: 4x faster than reshaping sliding windows.
-    phi = np.empty((h, w, N_FEATURES))
+    # Feature-major, one contiguous slice copy per window cell, returned as
+    # its (h*w, 26) transpose: faster than a row-major fill for a new array.
+    phi = np.empty((N_FEATURES, h, w))
     for i in range(WINDOW):
         for j in range(WINDOW):
-            phi[:, :, i * WINDOW + j] = padded[i : i + h, j : j + w]
-    phi[:, :, -1] = 1.0
-    phi = phi.reshape(h * w, N_FEATURES)
+            phi[i * WINDOW + j] = padded[i : i + h, j : j + w]
+    phi[-1] = 1.0
+    phi = phi.reshape(N_FEATURES, h * w).T
     _feature_cache[id(y)] = (weakref.ref(y), phi)
     weakref.finalize(y, _feature_cache.pop, id(y), None)
     return phi
