@@ -96,8 +96,7 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
         return hit[1]
     h, w = y.shape
     padded = np.pad(y, WINDOW // 2)
-    # Feature-major, one contiguous slice copy per window cell, returned as
-    # its (h*w, 26) transpose: faster than a row-major fill for a new array.
+    # Feature-major slice copies, returned transposed: a row-major fill is slower.
     phi = np.empty((N_FEATURES, h, w))
     for i in range(WINDOW):
         for j in range(WINDOW):

@@ -15,8 +15,9 @@ tape recorded here is what the reverse pass consumes.
 
 Reduced form: a softmax ignores a constant added to a site's activations,
 so the engine pins label 0's activation at 0 and carries only labels
-1..K-1 (`layer_inputs` builds the matching unary and message tables). For
-the binary CRF this is the magnetization form of mean field,
+1..K-1 (`layer_inputs` builds the matching unary and message tables, and
+reuses the tables of read-only pairwise arrays). For the binary CRF this
+is the magnetization form of mean field,
 q_s = sigmoid(h_s + sum_t (c_st + s_st q_t)). Callers still pass and
 receive (n, K) arrays: label 0 of q0 is not read, since q0 is a
 distribution; label 0 of a returned q is one minus the others; returned
@@ -278,7 +279,7 @@ def _constant_bins(topology: GraphTopology, K1: int) -> np.ndarray:
     return bins
 
 
-TABLE_STORE = 4  # per compiled schedule; an untied 3-layer network uses 3
+TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
@@ -298,7 +299,7 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     if frozen:
         for a in out:
             a.flags.writeable = False
-        if len(store) >= TABLE_STORE:
+        if len(store) >= TABLE_STORE_SIZE:
             del store[next(iter(store))]
         store[key] = (pairwise, out)
     return out

@@ -66,9 +66,8 @@ class PairwiseMRF:
             raise ValueError("need at least two labels")
         unary = np.asarray(self.unary, dtype=np.float64)
         pairwise = np.asarray(self.pairwise, dtype=np.float64)
-        shape = (self.topology.n_edges, self.K, self.K)
-        if pairwise.shape != shape:  # else keep the caller's array: caches key on it
-            pairwise = pairwise.reshape(shape)
+        if pairwise.shape != (self.topology.n_edges, self.K, self.K):  # else keep it (caches)
+            pairwise = pairwise.reshape(self.topology.n_edges, self.K, self.K)
         if unary.shape != (self.topology.n_vertices, self.K):
             raise ValueError(
                 f"unary shape {unary.shape} does not match "

@@ -295,9 +295,9 @@ def test_table_store_is_bounded_and_skips_writable_arrays(rng):
     view.flags.writeable = False  # read-only, but its base can still change
     engine.layer_inputs(compiled, [(unary, writable), (unary, view)])
     assert not store
-    for _ in range(engine.TABLE_STORE + 2):
+    for _ in range(engine.TABLE_STORE_SIZE + 2):
         engine.layer_inputs(compiled, [(unary, _frozen_copy(writable))])
-    assert len(store) == engine.TABLE_STORE
+    assert len(store) == engine.TABLE_STORE_SIZE
 
 
 def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):
