@@ -275,7 +275,7 @@ def _frozen_copy(a):
 def test_stored_table_inputs_equal_fresh_ones(problem):
     mrfs, schedule = problem
     compiled = engine.compile_schedule(mrfs[0].topology, schedule)
-    frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs]
+    frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
     first = engine.layer_inputs(compiled, frozen)
     again = engine.layer_inputs(compiled, frozen)  # served from the store
     fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
