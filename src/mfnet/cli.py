@@ -40,7 +40,11 @@ def _load_data(args):
     pairs = [img.pair for img in data.load_split(path)]
     if not pairs:
         raise ValueError(f"{path}: the split holds no images")
-    return pairs, _schedule_for(args.schedule, pairs[0][0].shape)
+    shape = pairs[0][0].shape
+    other = next((x.shape for x, _ in pairs if x.shape != shape), None)
+    if other is not None:
+        raise ValueError(f"{path}: the images differ in size, {shape} and {other}")
+    return pairs, _schedule_for(args.schedule, shape)
 
 
 def _write_json(path, obj) -> None:
@@ -58,8 +62,8 @@ MODEL_FORMAT = f"an MFN model with keys tied, layers, or {CRF_FORMAT}"
 
 
 def _read_params(path, parse, expected):
-    """parse(d) of the JSON object in `path`; a missing key is reported with
-    the file and the `expected` format."""
+    """parse(d) of the JSON object in `path`; a missing key or a value of the
+    wrong type is reported with the file and the `expected` format."""
     d = json.loads(Path(path).read_text())
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")
@@ -67,6 +71,8 @@ def _read_params(path, parse, expected):
         return parse(d)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}; expected {expected}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}; expected {expected}") from None
 
 
 def _load_crf_params(path) -> CrfParams:

@@ -178,6 +178,8 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise ValueError(f"{path}: PGM header needs integer width, height and maxval")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     expected = width * height * dtype.itemsize
@@ -213,7 +215,11 @@ def load_split(manifest_path) -> List[LabeledImage]:
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
         raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")
     images = []
-    for entry in manifest["files"]:
+    for i, entry in enumerate(manifest["files"]):
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), str) for k in ("input", "label")
+        ):
+            raise ValueError(f"{manifest_path}: files[{i}] is not an object with keys input, label")
         noisy, maxval = read_pgm(manifest_path.parent / entry["input"])
         label, label_max = read_pgm(manifest_path.parent / entry["label"])
         images.append(

@@ -29,15 +29,16 @@ label-major: q, unary potentials and their gradients are (K-1, n),
 message tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
-short last axis, and block writes go through one flat index
-(`k * n + site`) per step.
+short last axis. Each label row is indexed on its own, with the step's
+`BlockStep` indices and the topology's edge list: one `bincount` and one
+1-D indexed write per row, so every sum keeps its element order for any K.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,16 +125,6 @@ class BlockStep:
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
 
 
-class StepIndex(NamedTuple):
-    """One block step's flat indices into label-major arrays for K labels;
-    each lists label 0's entries, then label 1's, and so on."""
-
-    verts: np.ndarray     # (K*B,) k * n + block site: the block in a (K, n) array
-    reads: np.ndarray     # (K*R,) k * n + read site: the read sites in a (K, n) array
-    pos: np.ndarray       # (K*M,) k * B + pos: `bincount` bins of (K, M) messages
-    read_idx: np.ndarray  # (K*M,) k * R + read_idx: bins of (K, M) messages by read site
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledSchedule:
     topology: GraphTopology
@@ -142,24 +133,7 @@ class CompiledSchedule:
     # into the lower endpoint of edge e, E + e for the one into its upper one.
     table_order: np.ndarray
     _table_index: dict = field(default_factory=dict, repr=False)
-    _flat_index: dict = field(default_factory=dict, repr=False)
     _table_inputs: dict = field(default_factory=dict, repr=False)
-
-    def flat_index(self, K: int) -> List[StepIndex]:
-        """The StepIndex of every step for K labels, built once per K."""
-        index = self._flat_index.get(K)
-        if index is None:
-            n, k = self.topology.n_vertices, np.arange(K)[:, None]
-            index = self._flat_index[K] = [
-                StepIndex(
-                    (k * n + st.verts).ravel(),
-                    (k * n + st.reads).ravel(),
-                    (k * st.verts.size + st.pos).ravel(),
-                    (k * st.reads.size + st.read_idx).ravel(),
-                )
-                for st in self.steps
-            ]
-        return index
 
     def table_index(self, K: int) -> np.ndarray:
         """(K, K, 2E) index into a flat (E, K, K) pairwise array of the entry
@@ -268,17 +242,6 @@ def _table_map(K: int) -> np.ndarray:
     return W
 
 
-@lru_cache(maxsize=64)
-def _constant_bins(topology: GraphTopology, K1: int) -> np.ndarray:
-    """(2*K1, E) flat (K1, n) index `k * n + site` of the target of each
-    message constant from `_table_map`: the lower endpoints, then the upper."""
-    lo, hi = topology.edges.T
-    k = np.arange(K1)[:, None] * topology.n_vertices
-    bins = np.vstack([k + lo, k + hi])
-    bins.flags.writeable = False
-    return bins
-
-
 TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
@@ -293,9 +256,13 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     n, E, K = compiled.topology.n_vertices, compiled.topology.n_edges, pairwise.shape[-1]
     K1 = K - 1
     parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
-    bins = _constant_bins(compiled.topology, K1)
-    const = np.bincount(bins.ravel(), parts[K1 * K1 :].ravel(), minlength=K1 * n)
-    out = const.reshape(K1, n), parts[: K1 * K1].T.reshape(-1).take(compiled.table_index(K1))
+    # Per label row: the constants into each edge's lower endpoint, then its upper one.
+    lower, upper = parts[K1 * K1 : K1 * K], parts[K1 * K :]
+    targets = compiled.topology.edges.T.ravel()
+    const = np.empty((K1, n))
+    for k in range(K1):
+        const[k] = np.bincount(targets, np.concatenate([lower[k], upper[k]]), minlength=n)
+    out = const, parts[: K1 * K1].T.reshape(-1).take(compiled.table_index(K1))
     if frozen:
         for a in out:
             a.flags.writeable = False
@@ -332,20 +299,22 @@ def layer_inputs(
 
 
 def block_activations(
-    unary: np.ndarray, tables: np.ndarray, st: BlockStep, ix: StepIndex, q_read: np.ndarray
+    unary: np.ndarray, tables: np.ndarray, st: BlockStep, q_read: np.ndarray
 ) -> np.ndarray:
     """Reduced activations (K-1, B) for the block's sites, given its layer's
-    `layer_inputs` unary (K-1, n) and tables, the step's StepIndex for K-1
-    labels and the reduced q columns of its read sites, (K-1, R)."""
-    K1, B = unary.shape[0], st.verts.size
+    `layer_inputs` unary (K-1, n) and tables and the reduced q columns of
+    the step's read sites, (K-1, R): each label row sums its messages into
+    the block with one `bincount` over `st.pos`."""
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
     # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
     # a 9,850-message step).
     msg = tab[:, 0] * q_msg[0]
-    for l in range(1, K1):
+    for l in range(1, len(q_msg)):
         msg += tab[:, l] * q_msg[l]
-    sums = np.bincount(ix.pos, msg.ravel(), minlength=K1 * B)
-    return unary.take(st.verts, axis=1) + sums.reshape(K1, B)
+    a = unary.take(st.verts, axis=1)
+    for k, row in enumerate(msg):
+        a[k] += np.bincount(st.pos, row, minlength=st.verts.size)
+    return a
 
 
 def reduced_softmax(a: np.ndarray) -> np.ndarray:
@@ -409,25 +378,23 @@ def run_unrolled(
     Raises FloatingPointError when the final q is not finite.
     """
     q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
-    q_flat = q.reshape(-1)
     a_final = np.zeros_like(q)
-    a_flat = a_final.reshape(-1)
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
-    index = compiled.flat_index(q.shape[0])
     for m, (unary, tables) in enumerate(inputs):
         last = m == len(inputs) - 1
-        for st, ix in zip(compiled.steps, index):
+        for st in compiled.steps:
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)
-            a = block_activations(unary, tables, st, ix, q_read)
+            a = block_activations(unary, tables, st, q_read)
             q_new = reduced_softmax(a)
             if tape is not None:
                 tape.append(StepRecord(q_read, q_new))
-            # A 1-D indexed write: 2-D fancy writes and `put` are 2-3x slower.
-            q_flat[ix.verts] = q_new.reshape(-1)
-            if last:
-                a_flat[ix.verts] = a.reshape(-1)
+            # 1-D indexed writes per label row: 2-D fancy writes and `put` are 2-3x slower.
+            for k in range(len(q)):
+                q[k][st.verts] = q_new[k]
+                if last:
+                    a_final[k][st.verts] = a[k]
         if sweep_hook is not None:
             sweep_hook(m, _full(1.0 - q.sum(axis=0), q))
     if not np.all(np.isfinite(q)):
@@ -436,20 +403,20 @@ def run_unrolled(
 
 
 def backward_unrolled(
-    layers: Sequence[Tuple[np.ndarray, np.ndarray]],
     compiled: CompiledSchedule,
     tape: Sequence[StepRecord],
+    inputs: list,
     gq_final: Optional[np.ndarray] = None,
     ga_final: Optional[np.ndarray] = None,
-    inputs: Optional[list] = None,
 ):
     """Reverse pass through a recorded forward run.
 
-    `gq_final` (n, K) is the loss gradient with respect to the final q
-    values; `ga_final` (n, K) is a loss gradient applied directly to each
-    site's final activations (bypassing the closing softmax; column 0 is
-    not read, as the forward pins it at 0). Either or both may be given.
-    `inputs` is the forward's `layer_inputs`, rebuilt here when not given.
+    `tape` and `inputs` (its StepRecords and `layer_inputs`) are all it
+    reads of the forward; they fix the layer count and K. `gq_final`
+    (n, K) is the loss gradient with respect to the final q values;
+    `ga_final` (n, K) is a loss gradient applied directly to each site's
+    final activations (bypassing the closing softmax; column 0 is not
+    read, as the forward pins it at 0). Either or both may be given.
 
     The step loop runs on the K-1 reduced channels; each layer's gradients
     are then lifted back through the transpose of the `layer_inputs`
@@ -458,34 +425,27 @@ def backward_unrolled(
     initial distribution q0, whose column 0 is 0 (the forward does not
     read it).
     """
-    n_layers = len(layers)
-    n_steps = len(compiled.steps)
+    n_layers, n_steps = len(inputs), len(compiled.steps)
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    n = compiled.topology.n_vertices
-    K = layers[0][0].shape[1]
+    n, E = compiled.topology.n_vertices, compiled.topology.n_edges
+    K = inputs[0][0].shape[0] + 1
     K1, R = K - 1, _reduction(K)
-    if inputs is None:
-        inputs = layer_inputs(compiled, layers)
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
     dunary = [np.empty((K1, n)) for _ in range(n_layers)]
     dtables = [np.empty_like(tables) for _, tables in inputs]
     # Column 0 of the output q is one minus the others.
     gq = R @ np.transpose(gq_final) if gq_final is not None else np.zeros((K1, n))
-    gq_flat = gq.reshape(-1)
     ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
-    index = compiled.flat_index(K1)
     for gs in range(n_layers * n_steps - 1, -1, -1):
         m, ls = divmod(gs, n_steps)
-        st, ix, rec = compiled.steps[ls], index[ls], tape[gs]
+        st, rec = compiled.steps[ls], tape[gs]
         g_b = gq.take(st.verts, axis=1)
         qo = rec.q_out_km
         da = qo * (g_b - np.sum(g_b * qo, axis=0))
         if ga is not None and m == n_layers - 1:
             da += ga.take(st.verts, axis=1)
-        gq_flat[ix.verts] = 0.0
-        dunary[m].reshape(-1)[ix.verts] = da.reshape(-1)
         da_msg = da.take(st.pos, axis=1)
         q_msg = rec.q_read_km.take(st.read_idx, axis=1)
         np.multiply(da_msg[:, None], q_msg, out=dtables[m][:, :, st.msgs])
@@ -493,13 +453,15 @@ def backward_unrolled(
         g_read = tab[0] * da_msg[0]
         for k in range(1, K1):
             g_read += tab[k] * da_msg[k]
-        gq_flat[ix.reads] += np.bincount(ix.read_idx, g_read.ravel(), minlength=ix.reads.size)
+        for k in range(K1):
+            gq[k][st.verts] = 0.0
+            dunary[m][k][st.verts] = da[k]
+            gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
 
     # The transpose of the `layer_inputs` reduction, one layer at a time.
-    W, bins = _table_map(K), _constant_bins(compiled.topology, K1)
-    E = compiled.topology.n_edges
+    W, (lo, hi) = _table_map(K), compiled.topology.edges.T
     dpair = [
-        np.vstack([compiled.fold(dt).reshape(E, K1 * K1).T, du.reshape(-1).take(bins)]).T @ W
+        np.vstack([compiled.fold(dt).reshape(E, K1 * K1).T, du[:, lo], du[:, hi]]).T @ W
         for du, dt in zip(dunary, dtables)
     ]
     return (

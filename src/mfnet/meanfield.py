@@ -50,9 +50,7 @@ def sweep(
     mrf: PairwiseMRF, q: FactorialDistribution, schedule: Schedule
 ) -> FactorialDistribution:
     """One full pass over all sites under the given schedule."""
-    compiled = engine.compile_schedule(mrf.topology, schedule)
-    out, _ = engine.run_unrolled([(mrf.unary, mrf.pairwise)], q.probs, compiled)
-    return FactorialDistribution(out)
+    return run(mrf, q, 1, schedule)[0]
 
 
 def run(

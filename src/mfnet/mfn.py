@@ -90,8 +90,7 @@ class ForwardTrace:
     """Everything recorded during a forward pass that the reverse pass needs."""
 
     compiled: CompiledSchedule
-    layer_potentials: List[Tuple[np.ndarray, np.ndarray]]
-    inputs: list  # engine.layer_inputs of layer_potentials, built by the forward
+    inputs: list  # engine.layer_inputs of each layer's potentials
     q0: np.ndarray
     tape: List[engine.StepRecord]
     q_final: np.ndarray
@@ -122,7 +121,7 @@ def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrac
     inputs = engine.layer_inputs(compiled, layers)
     tape: List[engine.StepRecord] = []
     q_final, a_final = engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
-    return ForwardTrace(compiled, layers, inputs, q0, tape, q_final, a_final)
+    return ForwardTrace(compiled, inputs, q0, tape, q_final, a_final)
 
 
 def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
@@ -182,7 +181,7 @@ def backward(
     x_hat: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Loss gradient as one 28-vector per parameter layer (a single vector when tied)."""
-    if not params.tied and len(params.layers) != len(trace.layer_potentials):
+    if not params.tied and len(params.layers) != len(trace.inputs):
         raise ValueError("parameters do not match the trace")
     if isinstance(loss, KlToTarget):
         gq_final = kl_grad_q(trace.q_final, loss.target)
@@ -195,7 +194,7 @@ def backward(
     else:
         raise TypeError(f"unknown loss {loss!r}")
     dunary, dpair, gq0 = engine.backward_unrolled(
-        trace.layer_potentials, trace.compiled, trace.tape, gq_final, ga_final, trace.inputs
+        trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
     # q0 is the softmax of the first layer's unaries; fold its gradient in.
     q0 = trace.q0

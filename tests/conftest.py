@@ -36,13 +36,12 @@ def replay(trace):
     from mfnet import engine
 
     q = trace.q0.T[1:].copy()
-    q_flat = q.reshape(-1)
-    steps, index = trace.compiled.steps, trace.compiled.flat_index(q.shape[0])
+    steps = trace.compiled.steps
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))
         unary, tables = trace.inputs[m]
-        a = engine.block_activations(unary, tables, steps[ls], index[ls], rec.q_read_km)
-        q_flat[index[ls].verts] = engine.reduced_softmax(a).reshape(-1)
+        a = engine.block_activations(unary, tables, steps[ls], rec.q_read_km)
+        q[:, steps[ls].verts] = engine.reduced_softmax(a)
     return np.hstack([1.0 - q.sum(axis=0)[:, None], q.T])
 
 

@@ -221,6 +221,51 @@ class TestErrors:
         self.assert_one_line_naming(code, err, params)
         assert "'p_v'" in err and "CRF parameter object" in err
 
+    @pytest.mark.parametrize("command, payload, expected", [
+        ("run-mf", dict(theta0().to_json_dict(), p_h=None), "CRF parameter object"),
+        ("eval", {"tied": True, "layers": "x"}, "MFN model"),
+        ("eval", {"tied": True, "layers": [[1, 2]]}, "MFN model"),
+    ])
+    def test_parameters_of_the_wrong_type_name_the_format(self, tiny_dataset, tmp_path, capsys,
+                                                          command, payload, expected):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(payload))
+        flag = "--model" if command == "eval" else "--params"
+        code, _, err = run_cli(capsys, command, flag, str(params),
+                               "--data", str(tiny_dataset / "test"), "--iters", "1")
+        self.assert_one_line_naming(code, err, params)
+        assert expected in err
+
+    @staticmethod
+    def split_files(split):
+        """The manifest entries of a split directory, with absolute paths."""
+        files = json.loads((split / "manifest.json").read_text())["files"]
+        return [{k: str(split / v) for k, v in entry.items()} for entry in files]
+
+    @pytest.mark.parametrize("entry", ["img_000_input.pgm", {"input": "img_000_input.pgm"}])
+    def test_bad_manifest_entry_names_manifest_and_index(self, tiny_dataset, tmp_path, capsys,
+                                                         entry):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"files": self.split_files(tiny_dataset / "test")[:1]
+                                        + [entry]}))
+        code, _, err = run_cli(capsys, "train-crf", "--data", str(manifest),
+                               "--out", str(tmp_path / "params.json"))
+        self.assert_one_line_naming(code, err, manifest)
+        assert "files[1]" in err
+
+    def test_images_of_different_sizes_name_both_shapes(self, tmp_path, capsys):
+        files = []
+        for height in (21, 22):
+            train, _ = data.generate_dataset(n=1, seed=0, height=height, width=30)
+            data.save_split(train, tmp_path / str(height), {})
+            files += self.split_files(tmp_path / str(height))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"files": files}))
+        code, _, err = run_cli(capsys, "train-crf", "--data", str(manifest),
+                               "--out", str(tmp_path / "params.json"))
+        self.assert_one_line_naming(code, err, manifest)
+        assert "(21, 30)" in err and "(22, 30)" in err
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-layers", "0"), ("--size", "0"), ("--size", "-2"), ("--tol", "-1"),
         ("--tol", "0"), ("--tol", "nan"),

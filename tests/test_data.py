@@ -112,6 +112,14 @@ class TestPgmIo:
             f"{path}: expected {expected} bytes of pixel data for 100x50, found {found}"
         )
 
+    @pytest.mark.parametrize("raw", [b"P5\n100", b"P5\nab 50\n255\n", b"P5\n-4 2\n255\n"])
+    def test_bad_header_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="PGM header needs") as err:
+            read_pgm(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     def test_save_load_split(self, tmp_path):
         train, _ = generate_dataset(n=2, seed=5)
         manifest = save_split(

@@ -101,9 +101,9 @@ def test_backward_matches_finite_differences(problem, seeds, seed):
             total += float(np.sum(ga * a))
         return total
 
-    tape = []
-    engine.run_unrolled(layers, q0, compiled, tape=tape)
-    dunary, dpair, gq0 = engine.backward_unrolled(layers, compiled, tape, gq, ga)
+    tape, inputs = [], engine.layer_inputs(compiled, layers)
+    engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
+    dunary, dpair, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
 
     h = 1e-6
 
@@ -156,6 +156,17 @@ def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
     q, a = engine.run_unrolled([], q0, engine.compile_schedule(topo, engine.raster_schedule(3)))
     np.testing.assert_array_equal(q, q0)
     np.testing.assert_array_equal(a, np.zeros((3, 2)))
+
+
+def test_backward_rejects_a_tape_of_another_length():
+    topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
+    compiled = engine.compile_schedule(topo, engine.raster_schedule(3))
+    layers = [(np.zeros((3, 2)), np.ones((1, 2, 2)))] * 2
+    tape, inputs = [], engine.layer_inputs(compiled, layers)
+    engine.run_unrolled(layers, np.full((3, 2), 0.5), compiled, tape=tape, inputs=inputs)
+    for bad_tape, bad_inputs in [(tape[:-1], inputs), (tape + tape[:1], inputs), (tape, inputs[:1])]:
+        with pytest.raises(ValueError, match="tape length"):
+            engine.backward_unrolled(compiled, bad_tape, bad_inputs, np.ones((3, 2)))
 
 
 def _independent_blocks(topology, order):
