@@ -312,8 +312,8 @@ def block_activations(
     for l in range(1, len(q_msg)):
         msg += tab[:, l] * q_msg[l]
     a = unary.take(st.verts, axis=1)
-    for k, row in enumerate(msg):
-        a[k] += np.bincount(st.pos, row, minlength=st.verts.size)
+    for k in range(len(a)):
+        a[k] += np.bincount(st.pos, msg[k], minlength=st.verts.size)
     return a
 
 
@@ -379,6 +379,7 @@ def run_unrolled(
     """
     q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
     a_final = np.zeros_like(q)
+    q_rows, a_rows = list(q), list(a_final)  # row views, made once
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
     for m, (unary, tables) in enumerate(inputs):
@@ -391,10 +392,10 @@ def run_unrolled(
             if tape is not None:
                 tape.append(StepRecord(q_read, q_new))
             # 1-D indexed writes per label row: 2-D fancy writes and `put` are 2-3x slower.
-            for k in range(len(q)):
-                q[k][st.verts] = q_new[k]
+            for k, q_k in enumerate(q_rows):
+                q_k[st.verts] = q_new[k]
                 if last:
-                    a_final[k][st.verts] = a[k]
+                    a_rows[k][st.verts] = a[k]
         if sweep_hook is not None:
             sweep_hook(m, _full(1.0 - q.sum(axis=0), q))
     if not np.all(np.isfinite(q)):
