@@ -223,6 +223,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("command, payload, expected", [
         ("run-mf", dict(theta0().to_json_dict(), p_h=None), "CRF parameter object"),
+        ("run-mf", dict(theta0().to_json_dict(), w=[1.0, 2.0]), "CRF parameter object"),
         ("eval", {"tied": True, "layers": "x"}, "MFN model"),
         ("eval", {"tied": True, "layers": [[1, 2]]}, "MFN model"),
     ])

@@ -164,7 +164,8 @@ def test_backward_rejects_a_tape_of_another_length():
     layers = [(np.zeros((3, 2)), np.ones((1, 2, 2)))] * 2
     tape, inputs = [], engine.layer_inputs(compiled, layers)
     engine.run_unrolled(layers, np.full((3, 2), 0.5), compiled, tape=tape, inputs=inputs)
-    for bad_tape, bad_inputs in [(tape[:-1], inputs), (tape + tape[:1], inputs), (tape, inputs[:1])]:
+    for bad_tape, bad_inputs in [(tape[:-1], inputs), (tape + tape[:1], inputs),
+                                 (tape, inputs[:1])]:
         with pytest.raises(ValueError, match="tape length"):
             engine.backward_unrolled(compiled, bad_tape, bad_inputs, np.ones((3, 2)))
 
