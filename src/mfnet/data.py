@@ -181,6 +181,8 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
     if not all(f.isdigit() for f in fields[1:]):
         raise ValueError(f"{path}: PGM header needs integer width, height and maxval")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not 0 < maxval < 65536:
+        raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     expected = width * height * dtype.itemsize
     if len(raw) - pos != expected:

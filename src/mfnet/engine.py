@@ -26,7 +26,8 @@ column 0 of the reverse pass's gradient for q0.
 
 Layout: inside the forward and reverse passes every per-site array is
 label-major: q, unary potentials and their gradients are (K-1, n),
-message tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). With
+message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows) and the
+reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays. With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
 short last axis. Each label row is indexed on its own, with the step's
@@ -35,8 +36,8 @@ short last axis. Each label row is indexed on its own, with the step's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, fields
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
@@ -45,21 +46,34 @@ import numpy as np
 from .mrf import GraphTopology
 
 
+class _HashedOnce:
+    """Hashes a frozen schedule once: it keys `compile_schedule`'s cache."""
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
 @dataclass(frozen=True)
-class Sequential:
+class Sequential(_HashedOnce):
     """Update vertices one at a time, in the given order."""
 
     order: Tuple[int, ...]
+    __hash__ = _HashedOnce.__hash__  # kept by the dataclass, as it is defined here
 
     def blocks(self):
         return [(v,) for v in self.order]
 
 
 @dataclass(frozen=True)
-class BlockParallel:
+class BlockParallel(_HashedOnce):
     """Update each block in parallel; blocks are applied in order."""
 
     block_list: Tuple[Tuple[int, ...], ...]
+    __hash__ = _HashedOnce.__hash__
 
     def blocks(self):
         return list(self.block_list)
@@ -132,6 +146,7 @@ class CompiledSchedule:
     # (2E,) oriented table of every message in step order: e for the message
     # into the lower endpoint of edge e, E + e for the one into its upper one.
     table_order: np.ndarray
+    message_of: np.ndarray  # (2, E) its inverse: message into edge e's lower / upper end
     _table_index: dict = field(default_factory=dict, repr=False)
     _table_inputs: dict = field(default_factory=dict, repr=False)
 
@@ -147,13 +162,6 @@ class CompiledSchedule:
             k, l = np.arange(K)[:, None, None], np.arange(K)[None, :, None]
             idx = self._table_index[K] = np.where(upper, base + l * K + k, base + k * K + l)
         return idx
-
-    def fold(self, dtables: np.ndarray) -> np.ndarray:
-        """Gradient for message tables -> gradient for pairwise (E, K, K):
-        each pairwise entry sums its two oriented copies."""
-        E, K = self.topology.n_edges, dtables.shape[0]
-        sums = np.bincount(self.table_index(K).ravel(), dtables.ravel(), minlength=E * K * K)
-        return sums.reshape(E, K, K)
 
 
 def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -222,21 +230,17 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         )
         for i in range(n_steps)
     )
-    return CompiledSchedule(topology=topology, steps=steps, table_order=order)
-
-
-def _reduction(K: int) -> np.ndarray:
-    """(K-1, K) map from a K-vector v to its differences v_k - v_0, k >= 1."""
-    return np.hstack([-np.ones((K - 1, 1)), np.eye(K - 1)])
+    message_of = np.argsort(order).reshape(2, E)
+    return CompiledSchedule(topology, steps, table_order=order, message_of=message_of)
 
 
 @lru_cache(maxsize=None)
 def _table_map(K: int) -> np.ndarray:
     """((K-1)^2 + 2(K-1), K*K) map from a flat K x K edge table P to its
     flat reduced table R P R^T, then the message constants of its lower
-    endpoint (R P[:, 0]) and of its upper endpoint (R P[0, :]). Its
-    transpose pulls gradients on those back to P."""
-    R, e0 = _reduction(K), np.eye(K)[:1]
+    endpoint (R P[:, 0]) and of its upper endpoint (R P[0, :]), where R v =
+    (v_k - v_0 for k >= 1). Its transpose pulls gradients on those back to P."""
+    R, e0 = np.hstack([-np.ones((K - 1, 1)), np.eye(K - 1)]), np.eye(K)[:1]
     W = np.vstack([np.kron(R, R), np.kron(R, e0), np.kron(e0, R)])
     W.flags.writeable = False
     return W
@@ -419,32 +423,40 @@ def backward_unrolled(
     final activations (bypassing the closing softmax; column 0 is not
     read, as the forward pins it at 0). Either or both may be given.
 
-    The step loop runs on the K-1 reduced channels; each layer's gradients
-    are then lifted back through the transpose of the `layer_inputs`
-    reduction. Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and
+    The step loop runs on the K-1 reduced channels. Each layer is then
+    lifted through the transpose of the `layer_inputs` reduction: one
+    label-major ((K-1)^2 + 2(K-1), E) array holds each edge's reduced-table
+    gradient (its two oriented copies summed, the upper one transposed) and
+    the unary gradients at its endpoints, and `_table_map(K).T` takes it to
+    (K*K, E). Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and
     (E, K, K) arrays per layer, and the (n, K) gradient with respect to the
     initial distribution q0, whose column 0 is 0 (the forward does not
     read it).
     """
     n_layers, n_steps = len(inputs), len(compiled.steps)
+    if not inputs:
+        raise ValueError("the reverse pass needs at least one layer")
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
     n, E = compiled.topology.n_vertices, compiled.topology.n_edges
-    K = inputs[0][0].shape[0] + 1
-    K1, R = K - 1, _reduction(K)
+    K1 = inputs[0][0].shape[0]
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
     dunary = [np.empty((K1, n)) for _ in range(n_layers)]
     dtables = [np.empty_like(tables) for _, tables in inputs]
     # Column 0 of the output q is one minus the others.
-    gq = R @ np.transpose(gq_final) if gq_final is not None else np.zeros((K1, n))
+    gq = np.zeros((K1, n)) if gq_final is None else np.ascontiguousarray(
+        np.transpose(gq_final)[1:] - np.transpose(gq_final)[:1], dtype=np.float64)
     ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
     for gs in range(n_layers * n_steps - 1, -1, -1):
         m, ls = divmod(gs, n_steps)
         st, rec = compiled.steps[ls], tape[gs]
         g_b = gq.take(st.verts, axis=1)
         qo = rec.q_out_km
-        da = qo * (g_b - np.sum(g_b * qo, axis=0))
+        dot = g_b[0] * qo[0]
+        for k in range(1, K1):
+            dot += g_b[k] * qo[k]
+        da = qo * (g_b - dot)
         if ga is not None and m == n_layers - 1:
             da += ga.take(st.verts, axis=1)
         da_msg = da.take(st.pos, axis=1)
@@ -459,14 +471,14 @@ def backward_unrolled(
             dunary[m][k][st.verts] = da[k]
             gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
 
-    # The transpose of the `layer_inputs` reduction, one layer at a time.
-    W, (lo, hi) = _table_map(K), compiled.topology.edges.T
-    dpair = [
-        np.vstack([compiled.fold(dt).reshape(E, K1 * K1).T, du[:, lo], du[:, hi]]).T @ W
-        for du, dt in zip(dunary, dtables)
-    ]
-    return (
-        [du.T @ R for du in dunary],
-        [d.reshape(E, K, K) for d in dpair],
-        _full(0.0, gq),
-    )
+    WT, ends, KK = _table_map(K1 + 1).T, compiled.topology.edges.T, K1 * K1
+    lower, upper = compiled.message_of
+    dpair = []
+    for du, dt in zip(dunary, dtables):
+        g = np.empty((KK + 2 * K1, E))
+        for k, l in np.ndindex(K1, K1):
+            np.add(dt[k, l].take(lower), dt[l, k].take(upper), out=g[k * K1 + l])
+        for s, k in np.ndindex(2, K1):  # one row at a time: no (2, E) temporaries
+            np.take(du[k], ends[s], out=g[KK + s * K1 + k])
+        dpair.append((WT @ g).T.reshape(E, K1 + 1, K1 + 1))
+    return [_full(0.0 - du.sum(axis=0), du) for du in dunary], dpair, _full(0.0, gq)

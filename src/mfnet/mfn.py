@@ -129,14 +129,16 @@ def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     if q.shape != target.unary.shape:
         raise ValueError("q shape does not match target model")
-    lo, hi = target.topology.edges[:, 0], target.topology.edges[:, 1]
-    K = q.shape[1]
-    # One message into each endpoint of every edge, summed per site.
-    into_lo = np.einsum("ekl,el->ek", target.pairwise, q.take(hi, axis=0))
-    into_hi = np.einsum("ekl,ek->el", target.pairwise, q.take(lo, axis=0))
-    bins = (np.concatenate([lo, hi])[:, None] * K + np.arange(K)).ravel()
-    sums = np.bincount(bins, np.concatenate([into_lo, into_hi]).ravel(), minlength=q.size)
-    return np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary - sums.reshape(q.shape)
+    ends, P, K = target.topology.edges.T, target.pairwise, q.shape[1]
+    q_lo, q_hi = q.T.take(ends, axis=1).transpose(1, 0, 2)
+    grad = np.log(np.maximum(q, LOG_FLOOR)) + 1.0 - target.unary
+    # One message into each endpoint of every edge, summed per site and label.
+    for k in range(K):
+        into_lo = reduce(np.add, [P[:, k, l] * q_hi[l] for l in range(K)])
+        into_hi = reduce(np.add, [P[:, l, k] * q_lo[l] for l in range(K)])
+        msgs = np.concatenate([into_lo, into_hi])
+        grad[:, k] -= np.bincount(ends.ravel(), msgs, minlength=len(q))
+    return grad
 
 
 def _hinge_scores(a: np.ndarray, x_hat, c: float) -> tuple:

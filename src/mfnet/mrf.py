@@ -143,10 +143,9 @@ def unnormalized_kl_arrays(
     """KL(q || p) minus the log-partition constant, on raw arrays."""
     val = float(np.sum(q * np.log(np.maximum(q, LOG_FLOOR))))
     val -= float(np.sum(q * unary))
-    if len(edges):
-        q_lo = q.take(edges[:, 0], axis=0)
-        q_hi = q.take(edges[:, 1], axis=0)
-        val -= float(np.einsum("ek,ekl,el->", q_lo, pairwise, q_hi))
+    q_lo, q_hi = q.T.take(edges[:, 0], axis=1), q.T.take(edges[:, 1], axis=1)
+    for k, l in np.ndindex(pairwise.shape[1:]):
+        val -= float(np.dot(q_lo[k] * pairwise[:, k, l], q_hi[l]))
     return val
 
 

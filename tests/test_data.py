@@ -120,6 +120,14 @@ class TestPgmIo:
             read_pgm(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_maxval_out_of_range_names_the_file(self, tmp_path, maxval):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(b"P5\n2 1\n%d\n" % maxval + bytes(2 if maxval < 256 else 4))
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value) == f"{path}: PGM maxval {maxval} is outside 1..65535"
+
     def test_save_load_split(self, tmp_path):
         train, _ = generate_dataset(n=2, seed=5)
         manifest = save_split(

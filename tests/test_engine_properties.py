@@ -168,6 +168,19 @@ def test_backward_rejects_a_tape_of_another_length():
                                  (tape, inputs[:1])]:
         with pytest.raises(ValueError, match="tape length"):
             engine.backward_unrolled(compiled, bad_tape, bad_inputs, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="at least one layer"):
+        engine.backward_unrolled(compiled, [], [])
+
+
+def test_equal_schedules_built_separately_share_one_compiled_schedule():
+    topo = grid_graph(6, 5).topology
+    for make in (lambda: Sequential(tuple(range(29, -1, -1))),
+                 lambda: BlockParallel(tuple(tuple(b) for b in [range(15), range(15, 30)]))):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert engine.compile_schedule(topo, a) is engine.compile_schedule(topo, b)
+    seq, par = Sequential((0, 1)), BlockParallel(((0,), (1,)))
+    assert seq != par and seq != Sequential((1, 0)) and par != BlockParallel(((0, 1),))
 
 
 def _independent_blocks(topology, order):

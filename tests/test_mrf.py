@@ -15,6 +15,7 @@ from mfnet.mrf import (
     row_softmax,
     softmax_init,
     unnormalized_kl,
+    unnormalized_kl_arrays,
 )
 
 
@@ -158,6 +159,19 @@ class TestUnnormalizedKl:
             math.log(np.exp(row).sum()) for row in m.unary
         )
         assert unnormalized_kl(q, m) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    @pytest.mark.parametrize("n, edge_p", [(1, 0.0), (6, 0.0), (6, 0.5), (7, 1.0)])
+    def test_equals_an_explicit_per_edge_sum(self, rng, K, n, edge_p):
+        m = random_mrf(rng, n, K, edge_p=edge_p)
+        q = random_q(rng, n, K).probs
+        expected = sum(
+            q[s, k] * (math.log(q[s, k]) - m.unary[s, k]) for s in range(n) for k in range(K)
+        )
+        for (s, t), table in zip(m.topology.edges, m.pairwise):
+            expected -= sum(q[s, k] * table[k, l] * q[t, l] for k in range(K) for l in range(K))
+        got = unnormalized_kl_arrays(q, m.unary, m.pairwise, m.topology.edges)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_distribution_invariants_enforced(self):
         with pytest.raises(ValueError):
