@@ -20,6 +20,7 @@ from .mrf import softmax_init, unnormalized_kl_arrays
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
+MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
 
 
 def _schedule_for(name: str, shape):
@@ -64,7 +65,10 @@ MODEL_FORMAT = f"an MFN model with keys tied, layers, or {CRF_FORMAT}"
 def _read_params(path, parse, expected):
     """parse(d) of the JSON object in `path`; a missing key or a value of the
     wrong type is reported with the file and the `expected` format."""
-    d = json.loads(Path(path).read_text())
+    try:
+        d = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")
     try:
@@ -216,9 +220,10 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     from .gradcheck import run_grad_check
 
-    for flag, value in (("--size", args.size), ("--max-layers", args.max_layers)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if not 1 <= args.size <= MAX_CHECK_SIZE:
+        raise ValueError(f"--size must be in 1..{MAX_CHECK_SIZE}, got {args.size}")
+    if args.max_layers < 1:
+        raise ValueError(f"--max-layers must be at least 1, got {args.max_layers}")
     if not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     report = run_grad_check(

@@ -1,6 +1,7 @@
 """Binary grid CRF: linear unary model over 5x5 windows, Potts pairwise terms."""
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +48,13 @@ class CrfParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CrfParams":
-        return cls(w=np.array(d["w"], dtype=np.float64), p_h=d["p_h"], p_v=d["p_v"])
+        w, p_h, p_v = d["w"], d["p_h"], d["p_v"]
+        for key, values in (("w", w), ("p_h", [p_h]), ("p_v", [p_v])):
+            # JSON numbers only: no booleans or strings, and none a float cannot hold.
+            finite = (type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
+            if not isinstance(values, list) or not all(finite):
+                raise ValueError(f"{key} must hold finite numbers")
+        return cls(w=np.array(w, dtype=np.float64), p_h=p_h, p_v=p_v)
 
 
 def theta0() -> CrfParams:
@@ -57,26 +64,14 @@ def theta0() -> CrfParams:
     return CrfParams(w=w, p_h=1.0, p_v=1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class GridGraph:
-    """4-connected grid topology plus the horizontal/vertical split of its edges."""
-
-    height: int
-    width: int
-    topology: GraphTopology
-    horizontal: np.ndarray  # (E,) bool
-
-
 @lru_cache(maxsize=8)
-def grid_graph(height: int, width: int) -> GridGraph:
+def grid_graph(height: int, width: int) -> GraphTopology:
+    """4-connected grid: the height*(width-1) horizontal edges come first,
+    then the vertical ones; `_potts_tables` and `theta_gradient` rely on it."""
     idx = np.arange(height * width).reshape(height, width)
     h_edges = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     v_edges = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
-    edges = np.concatenate([h_edges, v_edges], axis=0)
-    horizontal = np.zeros(len(edges), dtype=bool)
-    horizontal[: len(h_edges)] = True
-    topo = GraphTopology(n_vertices=height * width, edges=edges)
-    return GridGraph(height=height, width=width, topology=topo, horizontal=horizontal)
+    return GraphTopology(n_vertices=height * width, edges=np.concatenate([h_edges, v_edges]))
 
 
 # id(image) -> (weak reference to the image, its features). Training loops
@@ -112,9 +107,10 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
 def _potts_tables(height: int, width: int, p_h: float, p_v: float) -> np.ndarray:
     """Read-only (E, 2, 2) Potts tables, penalty p_h on horizontal and p_v on
     vertical edges, shared by every image (and by `engine.layer_inputs`)."""
-    penalties = np.where(grid_graph(height, width).horizontal, p_h, p_v)
-    pairwise = np.zeros((len(penalties), 2, 2))
-    pairwise[:, 0, 0] = pairwise[:, 1, 1] = penalties
+    n_h = height * (width - 1)  # horizontal edges come first
+    pairwise = np.zeros((grid_graph(height, width).n_edges, 2, 2))
+    pairwise[:n_h, 0, 0] = pairwise[:n_h, 1, 1] = p_h
+    pairwise[n_h:, 0, 0] = pairwise[n_h:, 1, 1] = p_v
     pairwise.flags.writeable = False
     return pairwise
 
@@ -126,7 +122,7 @@ def build_mrf(y: np.ndarray, theta: CrfParams) -> PairwiseMRF:
     unary = np.zeros((h * w, 2))
     unary[:, 1] = feature_matrix(y) @ theta.w
     pairwise = _potts_tables(h, w, theta.p_h, theta.p_v)
-    return PairwiseMRF(topology=grid_graph(h, w).topology, K=2, unary=unary, pairwise=pairwise)
+    return PairwiseMRF(topology=grid_graph(h, w), K=2, unary=unary, pairwise=pairwise)
 
 
 def theta_gradient(y: np.ndarray, d_unary1: np.ndarray, d_penalty: np.ndarray) -> np.ndarray:
@@ -134,11 +130,9 @@ def theta_gradient(y: np.ndarray, d_unary1: np.ndarray, d_penalty: np.ndarray) -
     as a 28-vector; `d_unary1` (n,) is for the label-1 unary column and
     `d_penalty` (E,) for each edge's Potts penalty."""
     y = np.asarray(y, dtype=np.float64)
-    grid = grid_graph(*y.shape)
+    n_h = y.shape[0] * (y.shape[1] - 1)  # horizontal edges come first
     dw = feature_matrix(y).T @ d_unary1
-    dp_h = float(d_penalty[grid.horizontal].sum())
-    dp_v = float(d_penalty[~grid.horizontal].sum())
-    return np.concatenate([dw, [dp_h, dp_v]])
+    return np.concatenate([dw, [d_penalty[:n_h].sum(), d_penalty[n_h:].sum()]])
 
 
 def cl_gradient(
@@ -154,7 +148,7 @@ def cl_gradient(
     """
     y = np.asarray(y, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.int64).reshape(y.size)
-    lo, hi = grid_graph(*y.shape).topology.edges.T
+    lo, hi = grid_graph(*y.shape).edges.T
     agree = (x_hat[lo] == x_hat[hi]).astype(np.float64)
     expected_agree = np.sum(q.probs.take(lo, axis=0) * q.probs.take(hi, axis=0), axis=1)
     return theta_gradient(y, x_hat - q.probs[:, 1], agree - expected_agree)

@@ -107,8 +107,8 @@ def add_noise(
     """Per-pixel label flips, then additive Gaussian noise, then clamp to [0, 1]."""
     if not 0 <= flip_p <= 1:
         raise ValueError("flip probability must be in [0, 1]")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     clean = np.asarray(clean, dtype=np.float64)
     flips = rng.random(clean.shape) < flip_p
     noisy = np.abs(clean - flips)
@@ -213,7 +213,10 @@ def save_split(images: Sequence[LabeledImage], out_dir, manifest: dict) -> Path:
 
 def load_split(manifest_path) -> List[LabeledImage]:
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
         raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")
     images = []

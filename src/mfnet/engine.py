@@ -27,7 +27,8 @@ column 0 of the reverse pass's gradient for q0.
 Layout: inside the forward and reverse passes every per-site array is
 label-major: q, unary potentials and their gradients are (K-1, n),
 message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows) and the
-reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays. With
+reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays; tables
+are in step order, written and read back through `message_of`. With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
 short last axis. Each label row is indexed on its own, with the step's
@@ -143,25 +144,10 @@ class BlockStep:
 class CompiledSchedule:
     topology: GraphTopology
     steps: Tuple[BlockStep, ...]
-    # (2E,) oriented table of every message in step order: e for the message
-    # into the lower endpoint of edge e, E + e for the one into its upper one.
-    table_order: np.ndarray
-    message_of: np.ndarray  # (2, E) its inverse: message into edge e's lower / upper end
-    _table_index: dict = field(default_factory=dict, repr=False)
+    # (2, E) the one map between edges and messages: the position, in step
+    # order, of the message into the lower (row 0) / upper (row 1) end of edge e.
+    message_of: np.ndarray
     _table_inputs: dict = field(default_factory=dict, repr=False)
-
-    def table_index(self, K: int) -> np.ndarray:
-        """(K, K, 2E) index into a flat (E, K, K) pairwise array of the entry
-        behind message table entry [k, l, d], which weights label l of message
-        d's read site into label k of its target; built once per K."""
-        idx = self._table_index.get(K)
-        if idx is None:
-            E = self.topology.n_edges
-            upper = self.table_order >= E
-            base = (self.table_order - E * upper) * K * K
-            k, l = np.arange(K)[:, None, None], np.arange(K)[None, :, None]
-            idx = self._table_index[K] = np.where(upper, base + l * K + k, base + k * K + l)
-        return idx
 
 
 def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -230,8 +216,7 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         )
         for i in range(n_steps)
     )
-    message_of = np.argsort(order).reshape(2, E)
-    return CompiledSchedule(topology, steps, table_order=order, message_of=message_of)
+    return CompiledSchedule(topology, steps, message_of=np.argsort(order).reshape(2, E))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +251,11 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     const = np.empty((K1, n))
     for k in range(K1):
         const[k] = np.bincount(targets, np.concatenate([lower[k], upper[k]]), minlength=n)
-    out = const, parts[: K1 * K1].T.reshape(-1).take(compiled.table_index(K1))
+    # The message into an edge's upper endpoint reads its table transposed.
+    R = parts[: K1 * K1].reshape(K1, K1, E)
+    tables = np.empty((K1, K1, 2 * E))
+    tables[:, :, compiled.message_of.ravel()] = np.concatenate([R, R.swapaxes(0, 1)], axis=2)
+    out = const, tables
     if frozen:
         for a in out:
             a.flags.writeable = False
@@ -285,10 +274,11 @@ def layer_inputs(
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
     T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
     T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables hold T' in
-    `compiled.table_index` order (the reduction commutes with
-    transposition); the constants are summed into each message's
-    target, on top of the unary differences u_k - u_0. Only the latter
-    depend on the image; `_table_inputs` reuses the rest.
+    `compiled.message_of` order, transposed for messages into an upper
+    endpoint (the reduction commutes with transposition); the constants
+    are summed into each message's target, on top of the unary
+    differences u_k - u_0. Only the latter depend on the image;
+    `_table_inputs` reuses the rest.
     """
     built: dict = {}
     inputs = []

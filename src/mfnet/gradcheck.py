@@ -11,17 +11,6 @@ from .mfn import Hinge, KlToTarget, MfnParams, backward, forward, hinge_loss
 from .mrf import unnormalized_kl_arrays
 
 
-def _loss_of(vec, tied, n_layers, y, schedule, loss_kind, target, x_hat, c):
-    p_layers = 1 if tied else n_layers
-    params = MfnParams.from_vector(vec, tied=tied, n_layers=p_layers)
-    trace = forward(y, params, n_layers, schedule)
-    if loss_kind == "kl":
-        return unnormalized_kl_arrays(
-            trace.q_final, target.unary, target.pairwise, target.topology.edges
-        )
-    return hinge_loss(trace.a_final, x_hat, c)
-
-
 def check_config(
     y: np.ndarray,
     params: MfnParams,
@@ -34,6 +23,16 @@ def check_config(
     h: float = 1e-5,
 ) -> float:
     """Max relative error between the reverse pass and central differences."""
+
+    def loss_of(vec):
+        p = MfnParams.from_vector(vec, params.tied, len(params.layers))
+        trace = forward(y, p, n_layers, schedule)
+        if loss_kind == "kl":
+            return unnormalized_kl_arrays(
+                trace.q_final, target.unary, target.pairwise, target.topology.edges
+            )
+        return hinge_loss(trace.a_final, x_hat, c)
+
     trace = forward(y, params, n_layers, schedule)
     if loss_kind == "kl":
         grads = backward(trace, y, params, KlToTarget(target))
@@ -47,8 +46,7 @@ def check_config(
         plus[i] += h
         minus = vec.copy()
         minus[i] -= h
-        args = (params.tied, n_layers, y, schedule, loss_kind, target, x_hat, c)
-        fd[i] = (_loss_of(plus, *args) - _loss_of(minus, *args)) / (2 * h)
+        fd[i] = (loss_of(plus) - loss_of(minus)) / (2 * h)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(fd)))
     return float(np.max(np.abs(analytic - fd) / denom))
 

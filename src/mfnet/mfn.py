@@ -46,10 +46,9 @@ class MfnParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MfnParams":
-        return cls(
-            tied=bool(d["tied"]),
-            layers=[CrfParams.from_json_dict(x) for x in d["layers"]],
-        )
+        if not isinstance(d["tied"], bool):
+            raise ValueError("tied must be true or false")
+        return cls(tied=d["tied"], layers=[CrfParams.from_json_dict(x) for x in d["layers"]])
 
     @classmethod
     def tied_from(cls, theta: CrfParams) -> "MfnParams":

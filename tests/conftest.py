@@ -8,7 +8,7 @@ def random_grid_mrf(rng, height, width, K=2, scale=2.0):
     """Random 4-connected grid MRF with potentials uniform in [-scale, scale]."""
     from mfnet.crf import grid_graph
 
-    topo = grid_graph(height, width).topology
+    topo = grid_graph(height, width)
     return PairwiseMRF(
         topology=topo,
         K=K,

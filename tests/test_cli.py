@@ -46,6 +46,15 @@ class TestGenData:
         split = data.load_split(tmp_path / "train/manifest.json")
         np.testing.assert_array_equal(split[0].input, split[0].label)
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_rejected(self, tmp_path, capsys, sigma):
+        code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path), "--n", "1",
+                                 "--sigma", sigma)
+        assert code == 1 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: sigma ")
+        assert not any(tmp_path.iterdir())
+
     def test_manifest_fields(self, tiny_dataset):
         meta = json.loads((tiny_dataset / "train/manifest.json").read_text())
         assert meta["n_images"] == 2
@@ -226,6 +235,17 @@ class TestErrors:
         ("run-mf", dict(theta0().to_json_dict(), w=[1.0, 2.0]), "CRF parameter object"),
         ("eval", {"tied": True, "layers": "x"}, "MFN model"),
         ("eval", {"tied": True, "layers": [[1, 2]]}, "MFN model"),
+        ("run-mf", dict(theta0().to_json_dict(), p_h=True), "p_h must hold finite numbers; "
+         "expected a CRF parameter object"),
+        ("run-mf", dict(theta0().to_json_dict(), w=[True] * 26), "w must hold finite numbers"),
+        ("run-mf", dict(theta0().to_json_dict(), w=["1.0"] * 26), "w must hold finite numbers"),
+        ("run-mf", dict(theta0().to_json_dict(), p_h="1e400"), "p_h must hold finite numbers"),
+        # json.dumps writes NaN as the bare token NaN, which Python's json reads back.
+        ("run-mf", dict(theta0().to_json_dict(), p_v=float("nan")), "p_v must hold finite numbers"),
+        ("run-mf", dict(theta0().to_json_dict(), p_v=10 ** 400), "p_v must hold finite numbers"),
+        ("eval", {"tied": "yes", "layers": [theta0().to_json_dict()]}, "tied must be true or "
+         "false; expected an MFN model"),
+        ("eval", {"tied": "false", "layers": [theta0().to_json_dict()]}, "tied must be true"),
     ])
     def test_parameters_of_the_wrong_type_name_the_format(self, tiny_dataset, tmp_path, capsys,
                                                           command, payload, expected):
@@ -236,6 +256,21 @@ class TestErrors:
                                "--data", str(tiny_dataset / "test"), "--iters", "1")
         self.assert_one_line_naming(code, err, params)
         assert expected in err
+
+    @pytest.mark.parametrize("command, flag", [("run-mf", "--params"), ("eval", "--model"),
+                                               ("run-mf", "--data")])
+    def test_truncated_json_names_the_file(self, tiny_dataset, tmp_path, capsys, command, flag):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict(), indent=2))
+        files = {"--params": theta, "--model": theta, "--data": tiny_dataset / "test/manifest.json"}
+        text = files[flag].read_text()
+        files[flag] = tmp_path / "truncated.json"
+        files[flag].write_text(text[: len(text) // 2])
+        other = "--params" if flag == "--data" else "--data"
+        code, _, err = run_cli(capsys, command, flag, str(files[flag]), other, str(files[other]),
+                               "--iters", "1")
+        self.assert_one_line_naming(code, err, files[flag])
+        assert "malformed JSON" in err
 
     @staticmethod
     def split_files(split):
@@ -269,7 +304,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-layers", "0"), ("--size", "0"), ("--size", "-2"), ("--tol", "-1"),
-        ("--tol", "0"), ("--tol", "nan"),
+        ("--tol", "0"), ("--tol", "nan"), ("--size", "1000000"),
     ])
     def test_grad_check_flag_out_of_range_names_the_flag(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "grad-check", flag, value)

@@ -13,6 +13,7 @@ from mfnet.crf import (
     feature_matrix,
     grid_graph,
     theta0,
+    theta_gradient,
     train_baseline,
 )
 from mfnet.mrf import FactorialDistribution, energy, softmax_init
@@ -33,6 +34,19 @@ def extract_features(y, s):
             if 0 <= ii < h and 0 <= jj < w:
                 out[(di + r) * WINDOW + (dj + r)] = y[ii, jj]
     return out
+
+
+GRID_SHAPES = [(1, 1), (1, 5), (5, 1), (3, 4), (50, 100)]
+
+
+def edge_directions(h, w):
+    """Whether each edge of the h x w grid is horizontal, from its endpoints
+    (s, t): t - s == 1 within one row, or else t - s == w (vertical)."""
+    s, t = grid_graph(h, w).edges.T
+    horizontal = (t - s == 1) & (s // w == t // w)
+    assert np.all(horizontal | (t - s == w))
+    assert len(set(zip(s.tolist(), t.tolist()))) == s.size  # no edge twice
+    return horizontal
 
 
 class TestFeatures:
@@ -91,20 +105,29 @@ class TestBuildMrf:
         np.testing.assert_allclose(m.unary[:, 1], -12.5)
 
     def test_grid_edge_counts(self):
-        g = grid_graph(50, 100)
-        assert g.horizontal.sum() == 50 * 99
-        assert (~g.horizontal).sum() == 49 * 100
-        assert g.topology.n_edges == 9850
+        for h, w in GRID_SHAPES:
+            horizontal = edge_directions(h, w)
+            n_h = h * (w - 1)
+            assert horizontal.size == n_h + (h - 1) * w
+            assert horizontal[:n_h].all() and not horizontal[n_h:].any()
+        assert grid_graph(50, 100).n_edges == 9850
 
     def test_potts_tables(self):
         th = CrfParams(w=np.zeros(26), p_h=2.0, p_v=-3.0)
-        m = build_mrf(np.zeros((3, 3)), th)
-        g = grid_graph(3, 3)
-        for table in m.pairwise[g.horizontal]:
-            np.testing.assert_allclose(table, 2.0 * np.eye(2))
-        for table in m.pairwise[~g.horizontal]:
-            np.testing.assert_allclose(table, -3.0 * np.eye(2))
+        for h, w in GRID_SHAPES:
+            pairwise = build_mrf(np.zeros((h, w)), th).pairwise
+            penalty = np.where(edge_directions(h, w), 2.0, -3.0)
+            np.testing.assert_array_equal(pairwise, penalty[:, None, None] * np.eye(2))
 
+    def test_penalty_gradient_sums_each_direction(self):
+        rng = np.random.default_rng(2)
+        for h, w in GRID_SHAPES:
+            horizontal = edge_directions(h, w)
+            d_penalty = rng.normal(size=horizontal.size)
+            g = theta_gradient(np.zeros((h, w)), np.zeros(h * w), d_penalty)
+            assert g.shape == (28,)
+            np.testing.assert_allclose(g[26], d_penalty[horizontal].sum(), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(g[27], d_penalty[~horizontal].sum(), rtol=1e-12, atol=0)
 
     def test_tables_are_read_only_and_shared_per_penalty_pair(self):
         rng = np.random.default_rng(1)

@@ -173,7 +173,7 @@ def test_backward_rejects_a_tape_of_another_length():
 
 
 def test_equal_schedules_built_separately_share_one_compiled_schedule():
-    topo = grid_graph(6, 5).topology
+    topo = grid_graph(6, 5)
     for make in (lambda: Sequential(tuple(range(29, -1, -1))),
                  lambda: BlockParallel(tuple(tuple(b) for b in [range(15), range(15, 30)]))):
         a, b = make(), make()
@@ -262,7 +262,7 @@ def test_steps_are_dependency_levels(problem):
 
 @pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (4, 1), (3, 5), (50, 100)])
 def test_raster_compiles_to_anti_diagonals(h, w):
-    topo = grid_graph(h, w).topology
+    topo = grid_graph(h, w)
     compiled = engine.compile_schedule(topo, engine.raster_schedule(h * w))
     assert len(compiled.steps) == h + w - 1
     for d, step in enumerate(compiled.steps):
@@ -272,7 +272,7 @@ def test_raster_compiles_to_anti_diagonals(h, w):
 
 def test_checkerboard_compiles_to_its_two_blocks():
     schedule = engine.checkerboard_schedule(50, 100)
-    compiled = engine.compile_schedule(grid_graph(50, 100).topology, schedule)
+    compiled = engine.compile_schedule(grid_graph(50, 100), schedule)
     assert [tuple(step.verts) for step in compiled.steps] == list(schedule.block_list)
 
 
@@ -326,7 +326,7 @@ def test_table_store_is_bounded_and_skips_writable_arrays(rng):
 
 
 def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):
-    topo = grid_graph(3, 4).topology
+    topo = grid_graph(3, 4)
     compiled = engine.compile_schedule(topo, engine.checkerboard_schedule(3, 4))
     unary = rng.normal(size=(12, 2))
     pairwise = rng.normal(size=(topo.n_edges, 2, 2))

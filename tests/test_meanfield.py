@@ -33,7 +33,7 @@ class TestSchedules:
         sched = checkerboard_schedule(3, 4)
         from mfnet.crf import grid_graph
 
-        topo = grid_graph(3, 4).topology
+        topo = grid_graph(3, 4)
         validate_schedule(topo, sched)
         black = set(sched.block_list[0])
         for s, t in topo.edges:
