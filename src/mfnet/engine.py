@@ -27,8 +27,8 @@ column 0 of the reverse pass's gradient for q0.
 Layout: inside the forward and reverse passes every per-site array is
 label-major: q, unary potentials and their gradients are (K-1, n),
 message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows) and the
-reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays; tables
-are in step order, written and read back through `message_of`. With
+reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays. Table
+columns are messages in step order; `message_of` maps edges to them. With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
 short last axis. Each label row is indexed on its own, with the step's
