@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,6 +22,33 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
+# grad-check --max-layers; the untied checks grow with its cube (15 s at 10 and --size 6).
+MAX_CHECK_LAYERS = 10
+# Numeric flags checked before any command runs, by their argparse names.
+FINITE_FLAGS = ("lr", "momentum", "phase1_lr", "phase1_momentum", "phase2_lr",
+                "phase2_momentum", "c")
+NON_NEGATIVE_FLAGS = ("seed", "iters", "mf_iters")
+
+
+def _check_numeric_flags(args) -> None:
+    """Reject a non-finite rate, momentum or cost and a negative seed or
+    iteration count, naming the flag and its value."""
+    given = vars(args)
+    for name in FINITE_FLAGS:
+        if name in given and not math.isfinite(given[name]):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {given[name]}")
+    for name in NON_NEGATIVE_FLAGS:
+        if name in given and given[name] < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {given[name]}")
+
+
+def _drain(pairs: list):
+    """Yield the pairs in order, dropping each from the list as it goes, so
+    an image, and with it its cached feature matrix, is freed once the
+    loop moves past it."""
+    pairs.reverse()
+    while pairs:
+        yield pairs.pop()
 
 
 def _schedule_for(name: str, shape):
@@ -134,7 +162,7 @@ def cmd_run_mf(args) -> int:
     pairs, schedule = _load_data(args)
     kls = []
     accs = []
-    for y, x_hat in pairs:
+    for y, x_hat in _drain(pairs):
         model = crf.build_mrf(y, theta)
         q, _ = meanfield.run(model, softmax_init(model), args.iters, schedule)
         kls.append(
@@ -206,7 +234,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    traces = mfn.forward_each(pairs, params, args.iters, schedule)
+    traces = mfn.forward_each(_drain(pairs), params, args.iters, schedule)
     for i, (y, x_hat, trace) in enumerate(traces):
         pred = mfn.predict(trace).reshape(y.shape)
         accs.append(data.pixel_accuracy(pred, x_hat))
@@ -222,8 +250,8 @@ def cmd_grad_check(args) -> int:
 
     if not 1 <= args.size <= MAX_CHECK_SIZE:
         raise ValueError(f"--size must be in 1..{MAX_CHECK_SIZE}, got {args.size}")
-    if args.max_layers < 1:
-        raise ValueError(f"--max-layers must be at least 1, got {args.max_layers}")
+    if not 1 <= args.max_layers <= MAX_CHECK_LAYERS:
+        raise ValueError(f"--max-layers must be in 1..{MAX_CHECK_LAYERS}, got {args.max_layers}")
     if not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     report = run_grad_check(
@@ -324,6 +352,7 @@ def main(argv=None) -> int:
         # Non-finite results are detected where they arise (the engine and
         # the descent loop) and reported below as one line, without numpy's
         # floating-point warnings ahead of it.
+        _check_numeric_flags(args)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except (ValueError, OSError, KeyError) as exc:

@@ -26,8 +26,9 @@ column 0 of the reverse pass's gradient for q0.
 
 Layout: inside the forward and reverse passes every per-site array is
 label-major: q, unary potentials and their gradients are (K-1, n),
-message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows) and the
-reverse pass lifts gradients from ((K-1)^2 + 2(K-1), E) arrays. Table
+message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows), the
+reverse pass returns gradients of the same shapes, and `lift_gradients`
+takes them to the full arrays through ((K-1)^2 + 2(K-1), E) ones. Table
 columns are messages in step order; `message_of` maps edges to them. With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
@@ -364,8 +365,10 @@ def run_unrolled(
 
     `layers` is a sequence of (unary, pairwise) pairs, one per sweep; plain
     mean field passes the same pair M times. `inputs` is their
-    `layer_inputs`, built here when not given. If `tape` is a list, one
-    StepRecord per block step is appended for the reverse pass.
+    `layer_inputs`, built here when not given; `layers` is not read when
+    it is, so a caller holding only reduced inputs passes them as both.
+    If `tape` is a list, one StepRecord per block step is appended for
+    the reverse pass.
     `sweep_hook(sweep_index, q)` is called after each sweep with an (n, K)
     copy of q when given.
 
@@ -413,22 +416,19 @@ def backward_unrolled(
     final activations (bypassing the closing softmax; column 0 is not
     read, as the forward pins it at 0). Either or both may be given.
 
-    The step loop runs on the K-1 reduced channels. Each layer is then
-    lifted through the transpose of the `layer_inputs` reduction: one
-    label-major ((K-1)^2 + 2(K-1), E) array holds each edge's reduced-table
-    gradient (its two oriented copies summed, the upper one transposed) and
-    the unary gradients at its endpoints, and `_table_map(K).T` takes it to
-    (K*K, E). Returns (dunary_layers, dpairwise_layers, gq0): (n, K) and
-    (E, K, K) arrays per layer, and the (n, K) gradient with respect to the
-    initial distribution q0, whose column 0 is 0 (the forward does not
-    read it).
+    Returns the gradients with respect to the reduced inputs, label-major:
+    (dunary_layers, dtables_layers, gq0), a (K-1, n) unary gradient and a
+    (K-1, K-1, 2E) table gradient per layer, and the (K-1, n) gradient with
+    respect to labels 1..K-1 of q0 (label 0 is not read). `lift_gradients`
+    pulls a layer's gradients back to its (n, K) unary and (E, K, K)
+    pairwise arrays.
     """
     n_layers, n_steps = len(inputs), len(compiled.steps)
     if not inputs:
         raise ValueError("the reverse pass needs at least one layer")
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    n, E = compiled.topology.n_vertices, compiled.topology.n_edges
+    n = compiled.topology.n_vertices
     K1 = inputs[0][0].shape[0]
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
@@ -460,15 +460,28 @@ def backward_unrolled(
             gq[k][st.verts] = 0.0
             dunary[m][k][st.verts] = da[k]
             gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
+    return dunary, dtables, gq
 
+
+def lift_gradients(
+    compiled: CompiledSchedule, dunary: np.ndarray, dtables: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One layer's `backward_unrolled` gradients, pulled back through the
+    transpose of the `layer_inputs` reduction to its (n, K) unary and
+    (E, K, K) pairwise arrays.
+
+    One label-major ((K-1)^2 + 2(K-1), E) array holds each edge's
+    reduced-table gradient (its two oriented copies summed, the upper one
+    transposed) and the unary gradients at its endpoints; `_table_map(K).T`
+    takes it to (K*K, E).
+    """
+    K1, E = len(dunary), compiled.topology.n_edges
     WT, ends, KK = _table_map(K1 + 1).T, compiled.topology.edges.T, K1 * K1
     lower, upper = compiled.message_of
-    dpair = []
-    for du, dt in zip(dunary, dtables):
-        g = np.empty((KK + 2 * K1, E))
-        for k, l in np.ndindex(K1, K1):
-            np.add(dt[k, l].take(lower), dt[l, k].take(upper), out=g[k * K1 + l])
-        for s, k in np.ndindex(2, K1):  # one row at a time: no (2, E) temporaries
-            np.take(du[k], ends[s], out=g[KK + s * K1 + k])
-        dpair.append((WT @ g).T.reshape(E, K1 + 1, K1 + 1))
-    return [_full(0.0 - du.sum(axis=0), du) for du in dunary], dpair, _full(0.0, gq)
+    g = np.empty((KK + 2 * K1, E))
+    for k, l in np.ndindex(K1, K1):
+        np.add(dtables[k, l].take(lower), dtables[l, k].take(upper), out=g[k * K1 + l])
+    for s, k in np.ndindex(2, K1):  # one row at a time: no (2, E) temporaries
+        np.take(dunary[k], ends[s], out=g[KK + s * K1 + k])
+    dpair = (WT @ g).T.reshape(E, K1 + 1, K1 + 1)
+    return _full(0.0 - dunary.sum(axis=0), dunary), dpair

@@ -5,6 +5,10 @@ shared across layers (tied, equivalent to plain mean field) or owned per
 layer. The reverse pass runs over the recorded forward tape and supports
 two losses: KL against a fixed target model, and an element-wise hinge
 loss on the final activations.
+
+`forward` and `backward` run the engine on the binary CRF's reduced
+inputs and gradients directly, with no `PairwiseMRF` in between;
+`forward_mrfs` is the graph-generic forward over explicit potentials.
 """
 from __future__ import annotations
 
@@ -15,7 +19,14 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import engine
-from .crf import CrfParams, build_mrf, theta_gradient
+from .crf import (
+    CrfParams,
+    _potts_tables,
+    build_mrf,
+    feature_matrix,
+    grid_graph,
+    theta_gradient,
+)
 from .engine import CompiledSchedule, Schedule, checkerboard_schedule
 from .mrf import LOG_FLOOR, PairwiseMRF, row_softmax, unnormalized_kl_arrays
 
@@ -89,8 +100,8 @@ class ForwardTrace:
     """Everything recorded during a forward pass that the reverse pass needs."""
 
     compiled: CompiledSchedule
-    inputs: list  # engine.layer_inputs of each layer's potentials
-    q0: np.ndarray
+    inputs: list  # reduced engine inputs (unary, tables) of each layer
+    q0: np.ndarray  # (K-1, n) labels 1..K-1 of the initial distribution
     tape: List[engine.StepRecord]
     q_final: np.ndarray
     a_final: np.ndarray
@@ -99,14 +110,35 @@ class ForwardTrace:
 def forward(
     y: np.ndarray, params: MfnParams, n_layers: int, schedule: Schedule
 ) -> ForwardTrace:
-    """Forward pass on an image: layer m uses potentials built from its own parameters."""
+    """Forward pass on an image: layer m uses potentials built from its own parameters.
+
+    The engine's reduced inputs are built from the parameters directly:
+    the label-0 unary is 0, so a layer's unary input is its label-1 unary
+    `phi @ w` plus the message constants of its Potts tables, and q0 is the
+    reduced softmax of the first layer's label-1 unary. These, and so the
+    whole run, are bit for bit what `forward_mrfs` builds from the layers'
+    `build_mrf` models.
+    """
     if n_layers < 1:
         raise ValueError("need at least one layer")
     if not params.tied and len(params.layers) != n_layers:
         raise ValueError("untied parameters must provide one entry per layer")
     y = np.asarray(y, dtype=np.float64)
-    mrfs = [build_mrf(y, p) for p in params.layers] * (n_layers if params.tied else 1)
-    return forward_mrfs(mrfs, schedule)
+    h, w = y.shape
+    compiled = engine.compile_schedule(grid_graph(h, w), schedule)
+    phi = feature_matrix(y)
+    # One product per layer: one product over all layers rounds differently.
+    u1 = [phi @ p.w for p in params.layers]
+    inputs = []
+    for u, p in zip(u1, params.layers):
+        if not (np.all(np.isfinite(u)) and np.isfinite(p.p_h) and np.isfinite(p.p_v)):
+            raise ValueError("potentials must be finite")
+        const, tables = engine._table_inputs(compiled, _potts_tables(h, w, p.p_h, p.p_v))
+        inputs.append((u + const, tables))
+    if params.tied:
+        inputs *= n_layers
+    q1 = engine.reduced_softmax(u1[0][None])
+    return _taped_run(compiled, inputs, inputs, engine._full(1.0 - q1[0], q1))
 
 
 def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrace:
@@ -116,11 +148,14 @@ def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrac
         raise ValueError("all layers must share one topology")
     compiled = engine.compile_schedule(topo, schedule)
     layers = [(m.unary, m.pairwise) for m in mrfs]
-    q0 = row_softmax(layers[0][0])
     inputs = engine.layer_inputs(compiled, layers)
+    return _taped_run(compiled, layers, inputs, row_softmax(layers[0][0]))
+
+
+def _taped_run(compiled, layers, inputs, q0: np.ndarray) -> ForwardTrace:
     tape: List[engine.StepRecord] = []
     q_final, a_final = engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
-    return ForwardTrace(compiled, inputs, q0, tape, q_final, a_final)
+    return ForwardTrace(compiled, inputs, q0.T[1:], tape, q_final, a_final)
 
 
 def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
@@ -181,7 +216,15 @@ def backward(
     loss: LossSpec,
     x_hat: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Loss gradient as one 28-vector per parameter layer (a single vector when tied)."""
+    """Loss gradient as one 28-vector per parameter layer (a single vector when tied).
+
+    The engine's reduced gradients go straight to theta (`theta_gradient`).
+    A Potts table p*I reduces to the table 2p and the constant -p into
+    each endpoint, so an edge's penalty gradient is twice its table
+    gradient minus its endpoints' unary gradients, summed in the order
+    `engine.lift_gradients` sums them. q0 is the reduced softmax of the
+    first layer's label-1 unary; its gradient folds into that unary alone.
+    """
     if not params.tied and len(params.layers) != len(trace.inputs):
         raise ValueError("parameters do not match the trace")
     if isinstance(loss, KlToTarget):
@@ -194,19 +237,20 @@ def backward(
         gq_final = None
     else:
         raise TypeError(f"unknown loss {loss!r}")
-    dunary, dpair, gq0 = engine.backward_unrolled(
+    dunary, dtables, gq0 = engine.backward_unrolled(
         trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
-    # q0 is the softmax of the first layer's unaries; fold its gradient in.
+    lower, upper = trace.compiled.message_of
+    lo, hi = trace.compiled.topology.edges.T
+    d_penalty = []
+    for du, dt in zip(dunary, dtables):
+        g0 = dt[0, 0].take(lower) + dt[0, 0].take(upper)
+        d_penalty.append((g0 - du[0].take(lo) - du[0].take(hi)) + g0)
     q0 = trace.q0
-    dot = reduce(np.add, [gq0[:, k] * q0[:, k] for k in range(q0.shape[1])])
-    dunary[0] += q0 * (gq0 - dot[:, None])
+    dunary[0] += q0 * (gq0 - reduce(np.add, [g * q for g, q in zip(gq0, q0)]))
 
-    # Both diagonal entries of an edge's Potts table hold its penalty.
     y = np.asarray(y, dtype=np.float64)
-    per_layer = [
-        theta_gradient(y, du[:, 1], dp[:, 0, 0] + dp[:, 1, 1]) for du, dp in zip(dunary, dpair)
-    ]
+    per_layer = [theta_gradient(y, du[0], dp) for du, dp in zip(dunary, d_penalty)]
     if params.tied:
         return [np.sum(per_layer, axis=0)]
     return per_layer
@@ -251,8 +295,9 @@ def descend(
     `step`, then the fields) and takes one `sgd_momentum` step. `final_eval`
     also evaluates and logs the parameters after the last step.
 
-    Raises FloatingPointError on a non-finite loss or gradient, or when the
-    loss rises above 10x the magnitude of the first nonzero loss.
+    Raises FloatingPointError on a non-finite loss, gradient or updated
+    vector, or when the loss rises above 10x the magnitude of the first
+    nonzero loss.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -276,6 +321,8 @@ def descend(
             log.append({**head, "step": step, **fields})
         if step < steps:
             vec, velocity = sgd_momentum(vec, grad, learning_rate, momentum, velocity)
+            if not np.all(np.isfinite(vec)):
+                raise FloatingPointError(f"{where}parameters became non-finite at step {step}")
     return vec
 
 

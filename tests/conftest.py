@@ -35,7 +35,7 @@ def replay(trace):
     """Recompute a forward trace's output from its recorded reads alone."""
     from mfnet import engine
 
-    q = trace.q0.T[1:].copy()
+    q = trace.q0.copy()
     steps = trace.compiled.steps
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))

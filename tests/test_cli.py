@@ -304,13 +304,66 @@ class TestErrors:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-layers", "0"), ("--size", "0"), ("--size", "-2"), ("--tol", "-1"),
-        ("--tol", "0"), ("--tol", "nan"), ("--size", "1000000"),
+        ("--tol", "0"), ("--tol", "nan"), ("--size", "1000000"), ("--max-layers", "11"),
     ])
     def test_grad_check_flag_out_of_range_names_the_flag(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "grad-check", flag, value)
         assert code == 1 and out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith(f"error: {flag} ")
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["gen-data", "--n", "1", "--out", "{out}"], "--seed", "-1"),
+        (["train-crf", "--data", "{train}", "--out", "{out}", "--steps", "1"], "--lr", "nan"),
+        (["train-crf", "--data", "{train}", "--out", "{out}", "--steps", "1"],
+         "--mf-iters", "-1"),
+        (["run-mf", "--params", "{theta}", "--data", "{test}"], "--iters", "-1"),
+        (["train-mfn-inference", "--params", "{theta}", "--data", "{train}", "--out", "{out}",
+          "--steps", "1"], "--momentum", "nan"),
+        (["train-mfn-inference", "--params", "{theta}", "--data", "{train}", "--out", "{out}",
+          "--steps", "1"], "--lr", "inf"),
+        (["train-mfn-inference", "--params", "{theta}", "--data", "{train}", "--out", "{out}",
+          "--steps", "1"], "--iters", "-2"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}",
+          "--phase1-steps", "1", "--phase2-steps", "0"], "--phase1-lr", "inf"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--phase1-momentum", "nan"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--phase2-lr", "nan"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--phase2-momentum", "inf"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--c", "nan"),
+        (["eval", "--model", "{theta}", "--data", "{test}", "--out-dir", "{out}"],
+         "--iters", "-1"),
+    ])
+    def test_numeric_flag_out_of_range_names_the_flag(self, tiny_dataset, tmp_path, capsys,
+                                                      argv, flag, value):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        paths = {"theta": theta, "train": tiny_dataset / "train",
+                 "test": tiny_dataset / "test", "out": tmp_path / "out"}
+        argv = [a.format(**paths) for a in argv] + [f"{flag}={value}"]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"error: {flag} ") and err.strip().endswith(f"got {value}")
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-mfn-inference", "--steps", "1", "--lr", "1e308"],
+        ["train-mfn-disc", "--phase1-steps", "1", "--phase2-steps", "0", "--phase1-lr", "1e308"],
+    ])
+    def test_overflowing_update_is_numerical_failure(self, tiny_dataset, tmp_path, capsys,
+                                                     argv):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        out = tmp_path / "model.json"
+        code, stdout, err = run_cli(capsys, *argv, "--params", str(theta), "--data",
+                                    str(tiny_dataset / "train"), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert err.startswith("numerical failure: ") and "non-finite" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "run-mf"])
     def test_non_finite_inference_is_numerical_failure(self, tiny_dataset, tmp_path,

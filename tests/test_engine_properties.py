@@ -103,7 +103,8 @@ def test_backward_matches_finite_differences(problem, seeds, seed):
 
     tape, inputs = [], engine.layer_inputs(compiled, layers)
     engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
-    dunary, dpair, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
+    dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
+    lifted = [engine.lift_gradients(compiled, du, dt) for du, dt in zip(dunary, dtables)]
 
     h = 1e-6
 
@@ -119,10 +120,12 @@ def test_backward_matches_finite_differences(problem, seeds, seed):
             out[idx] = (up - down) / (2 * h)
         return out
 
-    for m, (unary, pairwise) in enumerate(layers):
-        np.testing.assert_allclose(dunary[m], numeric(unary), rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(dpair[m], numeric(pairwise), rtol=1e-5, atol=1e-6)
-    np.testing.assert_allclose(gq0, numeric(q0), rtol=1e-5, atol=1e-6)
+    for (unary, pairwise), (dunary_m, dpair_m) in zip(layers, lifted):
+        np.testing.assert_allclose(dunary_m, numeric(unary), rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(dpair_m, numeric(pairwise), rtol=1e-5, atol=1e-6)
+    # Label 0 of q0 is not read, so its gradient is 0.
+    full_gq0 = np.vstack([np.zeros((1, n)), gq0]).T
+    np.testing.assert_allclose(full_gq0, numeric(q0), rtol=1e-5, atol=1e-6)
 
 
 @settings(max_examples=80, deadline=None)

@@ -325,6 +325,21 @@ class TestDescend:
         with pytest.raises(FloatingPointError):
             mfn.descend(self.fake([np.nan]), np.zeros(2), 1, 0.1, 0.0)
 
+    def test_non_finite_update_raises(self):
+        with pytest.raises(FloatingPointError, match="non-finite at step 0"):
+            mfn.descend(self.fake([1.0]), np.zeros(2), 1, np.inf, 0.0)
+
+    def test_nan_momentum_in_training_raises(self, rng):
+        images = [(rng.random((4, 5)), rng.integers(0, 2, (4, 5)))]
+        with pytest.raises(FloatingPointError):
+            mfn.train_inference(images, theta0(), 2, momentum=np.nan, steps=1)
+
+    def test_infinite_rate_in_hinge_training_raises(self, rng):
+        images = [(rng.random((4, 5)), rng.integers(0, 2, (4, 5)))]
+        protocol = mfn.DiscProtocol(phase1_steps=1, phase1_lr=np.inf, phase2_steps=0)
+        with pytest.raises(FloatingPointError, match="tied: "):
+            mfn.train_discriminative(images, theta0(), 2, protocol=protocol)
+
     def test_log_rows_and_final_evaluation(self):
         log = []
         vec = mfn.descend(self.fake([3.0, 2.0, 1.0]), np.zeros(2), 2, 0.5, 0.0, log,
