@@ -6,8 +6,8 @@ layer. The reverse pass runs over the recorded forward tape and supports
 two losses: KL against a fixed target model, and an element-wise hinge
 loss on the final activations.
 
-`forward` and `backward` run the engine on the binary CRF's reduced
-inputs and gradients directly, with no `PairwiseMRF` in between;
+`forward` and `backward` hand the engine the CRF's reduced inputs and
+take its reduced gradients with no `PairwiseMRF` in between;
 `forward_mrfs` is the graph-generic forward over explicit potentials.
 """
 from __future__ import annotations
@@ -19,14 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import engine
-from .crf import (
-    CrfParams,
-    _potts_tables,
-    build_mrf,
-    feature_matrix,
-    grid_graph,
-    theta_gradient,
-)
+from .crf import CrfParams, _potts_tables, build_mrf, feature_matrix, grid_graph, theta_gradient
 from .engine import CompiledSchedule, Schedule, checkerboard_schedule
 from .mrf import LOG_FLOOR, PairwiseMRF, row_softmax, unnormalized_kl_arrays
 
