@@ -239,8 +239,8 @@ def backward(
     for du, dt in zip(dunary, dtables):
         g0 = dt[0, 0].take(lower) + dt[0, 0].take(upper)
         d_penalty.append((g0 - du[0].take(lo) - du[0].take(hi)) + g0)
-    q0 = trace.q0
-    dunary[0] += q0 * (gq0 - reduce(np.add, [g * q for g, q in zip(gq0, q0)]))
+    # After the penalties: no table reads q0, so its fold reaches only dw.
+    dunary[0] += trace.q0 * (gq0 - gq0 * trace.q0)
 
     y = np.asarray(y, dtype=np.float64)
     per_layer = [theta_gradient(y, du[0], dp) for du, dp in zip(dunary, d_penalty)]
