@@ -28,18 +28,42 @@ MAX_CHECK_LAYERS = 10
 FINITE_FLAGS = ("lr", "momentum", "phase1_lr", "phase1_momentum", "phase2_lr",
                 "phase2_momentum", "c")
 NON_NEGATIVE_FLAGS = ("seed", "iters", "mf_iters")
+# Counts that must be at least 1, per command: a network needs a layer and a
+# split an image. `run-mf --iters 0` runs no sweep and stays valid.
+POSITIVE_FLAGS = {"gen-data": ("n",), "train-mfn-inference": ("iters",),
+                  "train-mfn-disc": ("layers",), "eval": ("iters",)}
 
 
 def _check_numeric_flags(args) -> None:
-    """Reject a non-finite rate, momentum or cost and a negative seed or
-    iteration count, naming the flag and its value."""
+    """Reject a non-finite rate, momentum or cost, a negative seed or
+    iteration count and a zero layer or image count, naming the flag and
+    its value."""
     given = vars(args)
+    positive = POSITIVE_FLAGS.get(args.command, ())
     for name in FINITE_FLAGS:
         if name in given and not math.isfinite(given[name]):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {given[name]}")
-    for name in NON_NEGATIVE_FLAGS:
-        if name in given and given[name] < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {given[name]}")
+    for name in NON_NEGATIVE_FLAGS + positive:
+        least = int(name in positive)
+        if name in given and given[name] < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, got {given[name]}")
+
+
+def _join_negative_values(argv: list) -> list:
+    """`--flag -1e-3` as `--flag=-1e-3`: argparse takes a value that starts
+    with `-` but is not a plain decimal, such as -1e-3 or -inf, for a flag."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and arg.startswith("-"):
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={arg}"
+                continue
+        out.append(arg)
+    return out
 
 
 def _drain(pairs: list):
@@ -344,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -32,9 +32,15 @@ takes them to the full arrays through ((K-1)^2 + 2(K-1), E) ones. Table
 columns are messages in step order; `message_of` maps edges to them. With
 K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
-short last axis. Each label row is indexed on its own, with the step's
-`BlockStep` indices and the topology's edge list: one `bincount` and one
-1-D indexed write per row, so every sum keeps its element order for any K.
+short last axis. A step with at least `SPARSE_MIN_MESSAGES` messages sums
+them with one stored CSR product: `compile_schedule` keeps its pattern (the
+messages ordered stably by target, row pointers, read columns) and
+`_table_inputs` fills one (K-1)B x (K-1)R operator per table set, so the
+forward builds nothing per image. Smaller steps, and the reverse pass,
+index each label row on its own with the step's `BlockStep` indices and
+the topology's edge list: one `bincount` and one 1-D indexed write per
+row. Both forward kernels sum each target's messages from 0 in message
+order, so at K = 2 they agree bit for bit.
 """
 from __future__ import annotations
 
@@ -44,6 +50,7 @@ from itertools import chain
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .mrf import GraphTopology
 
@@ -139,6 +146,34 @@ class BlockStep:
     pos: np.ndarray       # (M,) block position each message adds into
     reads: np.ndarray     # (R,) distinct sites the messages read
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
+    # With at least SPARSE_MIN_MESSAGES messages, the CSR pattern of their sum
+    # over block positions: (message order, row pointers, columns), else None.
+    csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+# A step's message sum runs as one stored CSR product from this many messages
+# up. Per call (K = 2, 2-core Xeon guest) the two kernels break even at
+# 400-700 messages; a 9,850-message checkerboard step takes 15 instead of
+# 35 us. Below that the product's call overhead and its 16-25 us build per
+# table set lose; raster steps on a 50x100 grid have at most 200 messages.
+SPARSE_MIN_MESSAGES = 400
+
+
+def _csr_pattern(pos: np.ndarray, read_idx: np.ndarray, lo: int, hi: int, n_rows: int):
+    """The CSR pattern of the sum of compiled messages lo..hi-1 into the
+    n_rows block positions of their step, None for fewer than
+    SPARSE_MIN_MESSAGES: the messages ordered stably by block position, so
+    each target keeps its message order; the row pointers of that order;
+    and its read columns. Read-only: every operator of the step shares them."""
+    if hi - lo < SPARSE_MIN_MESSAGES:
+        return None
+    order = lo + np.argsort(pos[lo:hi], kind="stable")
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(np.bincount(pos[lo:hi], minlength=n_rows), out=indptr[1:])
+    pattern = order, indptr, read_idx[order].astype(np.int32)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +249,8 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
             pos=pos[m_start[i] : m_start[i + 1]],
             reads=reads[r_start[i] : r_start[i + 1]],
             read_idx=read_idx[m_start[i] : m_start[i + 1]],
+            csr=_csr_pattern(pos, read_idx, m_start[i], m_start[i + 1],
+                             v_start[i + 1] - v_start[i]),
         )
         for i in range(n_steps)
     )
@@ -235,10 +272,27 @@ def _table_map(K: int) -> np.ndarray:
 TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
+def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
+    """The message sum of a step with a CSR pattern, as a (K-1)B x (K-1)R
+    matrix on label-major flattened q columns: row k*B + b holds, message by
+    message in the pattern's order and then by read label l, the table
+    entries T'[k, l] of every message into block position b."""
+    order, indptr, cols = st.csr
+    K1, M = len(tables), len(order)
+    data = tables.take(order, axis=2).swapaxes(1, 2).reshape(-1)
+    if K1 > 1:
+        cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
+        ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
+        indptr = np.concatenate([indptr[:1], ends.ravel()])
+    return csr_array((data, cols, indptr), shape=(K1 * st.verts.size, K1 * st.reads.size))
+
+
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     """The image-free part of `layer_inputs`: message constants summed into
-    their targets (K-1, n), and the reduced tables. Stored for read-only arrays
-    that own their data, holding each so its id is not reused; others are rebuilt."""
+    their targets (K-1, n), the reduced tables, and each step's operator
+    (`_step_operator`, None for steps without a CSR pattern). Stored for
+    read-only arrays that own their data, holding each so its id is not
+    reused; others are rebuilt."""
     store, key = compiled._table_inputs, id(pairwise)
     frozen = not pairwise.flags.writeable and pairwise.base is None
     if frozen and key in store:
@@ -256,9 +310,10 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     R = parts[: K1 * K1].reshape(K1, K1, E)
     tables = np.empty((K1, K1, 2 * E))
     tables[:, :, compiled.message_of.ravel()] = np.concatenate([R, R.swapaxes(0, 1)], axis=2)
-    out = const, tables
+    ops = tuple(None if st.csr is None else _step_operator(st, tables) for st in compiled.steps)
+    out = const, tables, ops
     if frozen:
-        for a in out:
+        for a in (const, tables):
             a.flags.writeable = False
         if len(store) >= TABLE_STORE_SIZE:
             del store[next(iter(store))]
@@ -269,8 +324,8 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
 def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
-    """Reduced label-major (unary (K-1, n), tables (K-1, K-1, 2E)) of each
-    layer, built once per distinct (unary, pairwise) pair.
+    """Reduced label-major (unary (K-1, n), tables (K-1, K-1, 2E), step
+    operators) of each layer, built once per distinct (unary, pairwise) pair.
 
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
     T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
@@ -279,34 +334,43 @@ def layer_inputs(
     endpoint (the reduction commutes with transposition); the constants
     are summed into each message's target, on top of the unary
     differences u_k - u_0. Only the latter depend on the image;
-    `_table_inputs` reuses the rest.
+    `_table_inputs` reuses the rest, the tables' step operators included.
     """
     built: dict = {}
     inputs = []
     for unary, pairwise in layers:
         key = (id(unary), id(pairwise))
         if key not in built:
-            const, tables = _table_inputs(compiled, pairwise)
+            const, tables, ops = _table_inputs(compiled, pairwise)
             unary = np.asarray(unary, dtype=np.float64)
-            built[key] = np.subtract(unary.T[1:], unary[:, 0]) + const, tables
+            built[key] = np.subtract(unary.T[1:], unary[:, 0]) + const, tables, ops
         inputs.append(built[key])
     return inputs
 
 
 def block_activations(
-    unary: np.ndarray, tables: np.ndarray, st: BlockStep, q_read: np.ndarray
+    unary: np.ndarray,
+    tables: np.ndarray,
+    st: BlockStep,
+    q_read: np.ndarray,
+    op: Optional[csr_array] = None,
 ) -> np.ndarray:
     """Reduced activations (K-1, B) for the block's sites, given its layer's
-    `layer_inputs` unary (K-1, n) and tables and the reduced q columns of
-    the step's read sites, (K-1, R): each label row sums its messages into
-    the block with one `bincount` over `st.pos`."""
+    `layer_inputs` unary (K-1, n), tables and step operator `op`, and the
+    reduced q columns of the step's read sites, (K-1, R). With an operator
+    the message sums are one product with the flattened q columns; without,
+    each label row sums its messages into the block with one `bincount`
+    over `st.pos`."""
+    a = unary.take(st.verts, axis=1)
+    if op is not None:
+        a += (op @ q_read.reshape(-1)).reshape(a.shape)
+        return a
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
     # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
     # a 9,850-message step).
     msg = tab[:, 0] * q_msg[0]
     for l in range(1, len(q_msg)):
         msg += tab[:, l] * q_msg[l]
-    a = unary.take(st.verts, axis=1)
     for k in range(len(a)):
         a[k] += np.bincount(st.pos, msg[k], minlength=st.verts.size)
     return a
@@ -379,12 +443,12 @@ def run_unrolled(
     q_rows, a_rows = list(q), list(a_final)  # row views, made once
     if inputs is None:
         inputs = layer_inputs(compiled, layers)
-    for m, (unary, tables) in enumerate(inputs):
+    for m, (unary, tables, ops) in enumerate(inputs):
         last = m == len(inputs) - 1
-        for st in compiled.steps:
+        for st, op in zip(compiled.steps, ops):
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)
-            a = block_activations(unary, tables, st, q_read)
+            a = block_activations(unary, tables, st, q_read, op)
             q_new = reduced_softmax(a)
             if tape is not None:
                 tape.append(StepRecord(q_read, q_new))
@@ -433,7 +497,7 @@ def backward_unrolled(
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer.
     dunary = [np.empty((K1, n)) for _ in range(n_layers)]
-    dtables = [np.empty_like(tables) for _, tables in inputs]
+    dtables = [np.empty_like(tables) for _, tables, _ in inputs]
     # Column 0 of the output q is one minus the others.
     gq = np.zeros((K1, n)) if gq_final is None else np.ascontiguousarray(
         np.transpose(gq_final)[1:] - np.transpose(gq_final)[:1], dtype=np.float64)

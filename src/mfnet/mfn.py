@@ -93,7 +93,7 @@ class ForwardTrace:
     """Everything recorded during a forward pass that the reverse pass needs."""
 
     compiled: CompiledSchedule
-    inputs: list  # reduced engine inputs (unary, tables) of each layer
+    inputs: list  # reduced engine inputs (unary, tables, step operators) of each layer
     q0: np.ndarray  # (K-1, n) labels 1..K-1 of the initial distribution
     tape: List[engine.StepRecord]
     q_final: np.ndarray
@@ -126,8 +126,8 @@ def forward(
     for u, p in zip(u1, params.layers):
         if not (np.all(np.isfinite(u)) and np.isfinite(p.p_h) and np.isfinite(p.p_v)):
             raise ValueError("potentials must be finite")
-        const, tables = engine._table_inputs(compiled, _potts_tables(h, w, p.p_h, p.p_v))
-        inputs.append((u + const, tables))
+        const, tables, ops = engine._table_inputs(compiled, _potts_tables(h, w, p.p_h, p.p_v))
+        inputs.append((u + const, tables, ops))
     if params.tied:
         inputs *= n_layers
     q1 = engine.reduced_softmax(u1[0][None])
@@ -168,8 +168,17 @@ def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
     return grad
 
 
-def _hinge_scores(a: np.ndarray, x_hat, c: float) -> tuple:
-    """Checked labels and one (n,) row per label k of the scores a_k + c[k != label]."""
+def hinge_loss_grad(
+    a: np.ndarray, x_hat: np.ndarray, c: float = 1.0
+) -> Tuple[float, np.ndarray]:
+    """The hinge loss and its gradient with respect to `a`, from one check of
+    the labels and one row of scores a_k + c[k != label] per label k.
+
+    The loss sums over sites the largest score minus the true label's
+    activation; the gradient is +1 at each site's first loss-augmented
+    argmax and -1 at its true label.
+    """
+    a = np.asarray(a, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.int64).reshape(-1)
     n, K = a.shape
     if x_hat.shape != (n,):
@@ -177,29 +186,26 @@ def _hinge_scores(a: np.ndarray, x_hat, c: float) -> tuple:
     bad = x_hat[(x_hat < 0) | (x_hat >= K)]
     if bad.size:
         raise ValueError(f"label {bad[0]} out of range for {K} labels")
-    return x_hat, [a[:, k] + c * (x_hat != k) for k in range(K)]
+    scores = [a[:, k] + c * (x_hat != k) for k in range(K)]
+    top, k_star = scores[0], np.zeros(n, dtype=np.int64)
+    for k in range(1, K):
+        k_star[scores[k] > top] = k
+        top = np.maximum(top, scores[k])
+    true = a.reshape(-1).take(x_hat + K * np.arange(n))
+    g = np.empty(a.shape)
+    for k in range(K):
+        np.subtract(k_star == k, x_hat == k, out=g[:, k], dtype=np.float64)
+    return float(np.sum(top - true)), g
 
 
 def hinge_loss(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> float:
     """Sum over sites of max_k(a_k + c[k != label]) minus the true label's activation."""
-    a = np.asarray(a, dtype=np.float64)
-    x_hat, scores = _hinge_scores(a, x_hat, c)
-    true = a.reshape(-1).take(x_hat + a.shape[1] * np.arange(len(a)))
-    return float(np.sum(reduce(np.maximum, scores) - true))
+    return hinge_loss_grad(a, x_hat, c)[0]
 
 
 def hinge_grad_a(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> np.ndarray:
     """Per-site hinge gradient: +1 at the first loss-augmented argmax, -1 at the true label."""
-    a = np.asarray(a, dtype=np.float64)
-    x_hat, scores = _hinge_scores(a, x_hat, c)
-    top, k_star = scores[0], np.zeros(len(x_hat), dtype=np.int64)
-    for k in range(1, len(scores)):
-        k_star[scores[k] > top] = k
-        top = np.maximum(top, scores[k])
-    g = np.empty(a.shape)
-    for k in range(len(scores)):
-        np.subtract(k_star == k, x_hat == k, out=g[:, k], dtype=np.float64)
-    return g
+    return hinge_loss_grad(a, x_hat, c)[1]
 
 
 def backward(
@@ -208,6 +214,7 @@ def backward(
     params: MfnParams,
     loss: LossSpec,
     x_hat: Optional[np.ndarray] = None,
+    ga_final: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Loss gradient as one 28-vector per parameter layer (a single vector when tied).
 
@@ -217,6 +224,10 @@ def backward(
     gradient minus its endpoints' unary gradients, summed in the order
     `engine.lift_gradients` sums them. q0 is the reduced softmax of the
     first layer's label-1 unary; its gradient folds into that unary alone.
+
+    For a hinge loss, a caller that has the gradient of `trace.a_final`
+    already (`hinge_loss_grad`) passes it as `ga_final`; `x_hat` is then
+    not read.
     """
     if not params.tied and len(params.layers) != len(trace.inputs):
         raise ValueError("parameters do not match the trace")
@@ -224,9 +235,10 @@ def backward(
         gq_final = kl_grad_q(trace.q_final, loss.target)
         ga_final = None
     elif isinstance(loss, Hinge):
-        if x_hat is None:
-            raise ValueError("hinge loss needs ground-truth labels")
-        ga_final = hinge_grad_a(trace.a_final, np.asarray(x_hat).reshape(-1), loss.c)
+        if ga_final is None:
+            if x_hat is None:
+                raise ValueError("hinge loss needs ground-truth labels")
+            ga_final = hinge_grad_a(trace.a_final, np.asarray(x_hat).reshape(-1), loss.c)
         gq_final = None
     else:
         raise TypeError(f"unknown loss {loss!r}")
@@ -423,8 +435,9 @@ def _hinge_epoch(images, params, n_layers, schedule, c):
     losses, grads, accs = [], [], []
     for y, x_hat, trace in forward_each(images, params, n_layers, schedule):
         x_flat = np.asarray(x_hat).reshape(-1)
-        losses.append(hinge_loss(trace.a_final, x_flat, c))
-        grads.append(backward(trace, y, params, Hinge(c), x_flat))
+        loss, ga = hinge_loss_grad(trace.a_final, x_flat, c)
+        losses.append(loss)
+        grads.append(backward(trace, y, params, Hinge(c), ga_final=ga))
         accs.append(float(np.mean(predict(trace) == x_flat)))
     loss = float(np.mean(losses))
     layer_grads = np.sum(grads, axis=0) / len(grads)

@@ -39,8 +39,8 @@ def replay(trace):
     steps = trace.compiled.steps
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))
-        unary, tables = trace.inputs[m]
-        a = engine.block_activations(unary, tables, steps[ls], rec.q_read_km)
+        unary, tables, ops = trace.inputs[m]
+        a = engine.block_activations(unary, tables, steps[ls], rec.q_read_km, ops[ls])
         q[:, steps[ls].verts] = engine.reduced_softmax(a)
     return np.hstack([1.0 - q.sum(axis=0)[:, None], q.T])
 

@@ -350,6 +350,57 @@ class TestErrors:
         assert err.startswith(f"error: {flag} ") and err.strip().endswith(f"got {value}")
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("value, shown", [("-inf", "-inf"), ("-nan", "nan")])
+    def test_negative_non_finite_value_reaches_the_flag_check(self, tiny_dataset, tmp_path,
+                                                              capsys, value, shown):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        out = tmp_path / "model.json"
+        code, stdout, err = run_cli(capsys, "train-mfn-disc", "--params", str(theta),
+                                    "--data", str(tiny_dataset / "train"), "--out", str(out),
+                                    "--phase2-lr", value)
+        assert code == 1 and stdout == ""
+        assert err == f"error: --phase2-lr must be finite, got {shown}\n"
+        assert not out.exists()
+
+    def test_negative_finite_value_is_read_as_the_flag_value(self, tiny_dataset, tmp_path,
+                                                             capsys):
+        outputs = []
+        for name, lr in (("spaced", ["--lr", "-1e-3"]), ("joined", ["--lr=-1e-3"])):
+            out = tmp_path / f"{name}.json"
+            code, _, err = run_cli(capsys, "train-crf", "--data", str(tiny_dataset / "train"),
+                                   "--out", str(out), "--steps", "1", "--mf-iters", "1", *lr)
+            assert code == 0 and err == ""
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != json.dumps(theta0().to_json_dict(), indent=2) + "\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen-data", "--out", "{out}"], "--n"),
+        (["train-mfn-inference", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--iters"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--layers"),
+        (["eval", "--model", "{theta}", "--data", "{test}", "--out-dir", "{out}"], "--iters"),
+    ])
+    def test_zero_count_names_the_flag(self, tiny_dataset, tmp_path, capsys, argv, flag):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        paths = {"theta": theta, "train": tiny_dataset / "train",
+                 "test": tiny_dataset / "test", "out": tmp_path / "out"}
+        argv = [a.format(**paths) for a in argv] + [flag, "0"]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert err == f"error: {flag} must be >= 1, got 0\n"
+        assert not paths["out"].exists()
+
+    def test_run_mf_with_zero_sweeps_is_valid(self, tiny_dataset, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        code, stdout, _ = run_cli(capsys, "run-mf", "--params", str(theta),
+                                  "--data", str(tiny_dataset / "test"), "--iters", "0")
+        assert code == 0 and json.loads(stdout)["iters"] == 0
+
     @pytest.mark.parametrize("argv", [
         ["train-mfn-inference", "--steps", "1", "--lr", "1e308"],
         ["train-mfn-disc", "--phase1-steps", "1", "--phase2-steps", "0", "--phase1-lr", "1e308"],

@@ -81,8 +81,13 @@ def test_direct_path_equals_generic_path(h, w, n_layers, tied, schedule_name):
 
     assert same_bits(direct.q0, generic.q0)
     assert len(direct.inputs) == len(generic.inputs) == n_layers
-    for (u, t), (u_ref, t_ref) in zip(direct.inputs, generic.inputs):
+    for (u, t, ops), (u_ref, t_ref, ops_ref) in zip(direct.inputs, generic.inputs):
         assert same_bits(u, u_ref) and same_bits(t, t_ref)
+        assert [op is None for op in ops] == [op is None for op in ops_ref]
+        for op, ref in zip(ops, ops_ref):
+            if op is not None:
+                assert all(same_bits(getattr(op, f), getattr(ref, f))
+                           for f in ("data", "indices", "indptr"))
     assert len(direct.tape) == len(generic.tape)
     for rec, ref in zip(direct.tape, generic.tape):
         assert same_bits(rec.q_read_km, ref.q_read_km) and same_bits(rec.q_out_km, ref.q_out_km)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import replay
+from conftest import random_grid_mrf, replay
 from mfnet import engine, meanfield
 from mfnet.crf import grid_graph
 from mfnet.engine import BlockParallel, Sequential
@@ -153,6 +153,51 @@ def test_run_unrolled_matches_site_updates(problem):
     assert np.all(a_out[:, 0] == 0)
 
 
+@pytest.mark.parametrize("prop", [
+    test_rows_are_finite_distributions,
+    test_tied_forward_equals_mean_field,
+    test_replay_equals_forward,
+    test_backward_matches_finite_differences,
+    test_run_unrolled_matches_site_updates,
+], ids=lambda prop: prop.__name__)
+def test_properties_hold_with_an_operator_on_every_step(prop, monkeypatch):
+    """The properties above, with every step's message sum run as its
+    stored CSR product, so random K 2-4 graphs of any size reach it."""
+    monkeypatch.setattr(engine, "SPARSE_MIN_MESSAGES", 0)
+    engine.compile_schedule.cache_clear()
+    try:
+        prop()
+    finally:
+        engine.compile_schedule.cache_clear()
+
+
+@pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
+@pytest.mark.parametrize("h, w", [(3, 4), (13, 17), (50, 100)])
+def test_operator_path_equals_bincount_path_at_k2(h, w, schedule_name, rng):
+    """At K = 2 both kernels sum each target's messages from 0 in message
+    order: forward, tape and reverse pass agree bit for bit."""
+    mrfs = [random_grid_mrf(rng, h, w) for _ in range(2)]
+    schedule = (engine.checkerboard_schedule(h, w) if schedule_name == "checkerboard"
+                else engine.raster_schedule(h * w))
+    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    inputs = engine.layer_inputs(compiled, [(m.unary, m.pairwise) for m in mrfs])
+    large = [st.msgs.stop - st.msgs.start >= engine.SPARSE_MIN_MESSAGES for st in compiled.steps]
+    assert all([op is not None for op in ops] == large for _, _, ops in inputs)
+    plain = [(u, t, (None,) * len(ops)) for u, t, ops in inputs]
+    q0 = row_softmax(mrfs[0].unary)
+    gq, ga = rng.normal(size=q0.shape), rng.normal(size=q0.shape)
+    runs = []
+    for inp in (inputs, plain):
+        tape = []
+        q, a = engine.run_unrolled(inp, q0, compiled, tape=tape, inputs=inp)
+        dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inp, gq, ga)
+        records = [x for rec in tape for x in (rec.q_read_km, rec.q_out_km)]
+        runs.append([q, a, *records, *dunary, *dtables, gq0])
+    assert len(runs[0]) == len(runs[1])
+    for x, y in zip(*runs):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
     topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
     q0 = np.full((3, 2), 0.5)
@@ -298,19 +343,44 @@ def _frozen_copy(a):
     return a
 
 
+def _read_only_view(a):
+    view = a.view()
+    view.flags.writeable = False  # read-only, but its base can still change
+    return view
+
+
+def _compile_with_operators(topology, schedule):
+    """A compiled schedule, outside the compile cache, that gives every
+    step a CSR pattern and so an operator per table set."""
+    saved = engine.SPARSE_MIN_MESSAGES
+    engine.SPARSE_MIN_MESSAGES = 0
+    try:
+        return engine.compile_schedule.__wrapped__(topology, schedule)
+    finally:
+        engine.SPARSE_MIN_MESSAGES = saved
+
+
 @settings(max_examples=60, deadline=None)
 @given(problems())
 def test_stored_table_inputs_equal_fresh_ones(problem):
     mrfs, schedule = problem
-    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    compiled = _compile_with_operators(mrfs[0].topology, schedule)
     frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
     first = engine.layer_inputs(compiled, frozen)
     again = engine.layer_inputs(compiled, frozen)  # served from the store
     fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
-    for (u1, t1), (u2, t2), (u3, t3) in zip(first, again, fresh):
-        assert t2 is t1 and not t1.flags.writeable
+    views = [(u, _read_only_view(p)) for u, p in frozen]
+    rebuilt = [engine.layer_inputs(compiled, views) for _ in range(2)]
+    for (u1, t1, o1), (u2, t2, o2), (u3, t3, o3), *built in zip(first, again, fresh, *rebuilt):
+        assert t2 is t1 and not t1.flags.writeable and o2 is o1
         np.testing.assert_array_equal(u2, u3)
         np.testing.assert_array_equal(t2, t3)
+        assert len(o1) == len(compiled.steps) and all(op is not None for op in o1)
+        for ops in [o3] + [o for _, _, o in built]:
+            for op, stored in zip(ops, o1):
+                assert op is not stored
+                np.testing.assert_array_equal(op.toarray(), stored.toarray())
+        assert all(a is not b for a, b in zip(built[0][2], built[1][2]))
 
 
 def test_table_store_is_bounded_and_skips_writable_arrays(rng):
@@ -319,9 +389,7 @@ def test_table_store_is_bounded_and_skips_writable_arrays(rng):
     store = compiled._table_inputs
     unary = rng.normal(size=(4, 2))
     writable = rng.normal(size=(3, 2, 2))
-    view = writable.view()
-    view.flags.writeable = False  # read-only, but its base can still change
-    engine.layer_inputs(compiled, [(unary, writable), (unary, view)])
+    engine.layer_inputs(compiled, [(unary, writable), (unary, _read_only_view(writable))])
     assert not store
     for _ in range(engine.TABLE_STORE_SIZE + 2):
         engine.layer_inputs(compiled, [(unary, _frozen_copy(writable))])

@@ -18,6 +18,7 @@ from mfnet.mfn import (
     forward_mrfs,
     hinge_grad_a,
     hinge_loss,
+    hinge_loss_grad,
     kl_grad_q,
     predict,
     sgd_momentum,
@@ -240,6 +241,18 @@ class TestBackward:
         (g_tied,) = backward(t1, y, tied, KlToTarget(target))
         g_untied = backward(t2, y, untied, KlToTarget(target))
         np.testing.assert_allclose(g_tied, np.sum(g_untied, axis=0), atol=1e-10)
+
+    def test_hinge_gradient_given_equals_labels_given(self, rng):
+        y = rng.random((4, 5))
+        x_hat = rng.integers(0, 2, 20)
+        params = MfnParams(tied=False, layers=[random_theta(rng) for _ in range(2)])
+        trace = forward(y, params, 2, checkerboard_schedule(4, 5))
+        loss, ga = hinge_loss_grad(trace.a_final, x_hat, 0.5)
+        assert loss == hinge_loss(trace.a_final, x_hat, 0.5)
+        got = backward(trace, y, params, Hinge(0.5), ga_final=ga)
+        want = backward(trace, y, params, Hinge(0.5), x_hat)
+        for g, g_ref in zip(got, want):
+            assert g.tobytes() == g_ref.tobytes()
 
     def test_trace_params_mismatch_rejected(self, rng):
         y = rng.random((3, 3))
