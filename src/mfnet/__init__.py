@@ -17,7 +17,7 @@ from .mrf import (
 )
 from .oracle import brute_force_log_partition, brute_force_marginals, exact_kl
 from .crf import CrfParams, build_mrf, theta0
-from .mfn import Hinge, KlToTarget, MfnParams, forward, predict
+from .mfn import MfnParams, forward, predict
 
 __all__ = [
     "BlockParallel",
@@ -37,8 +37,6 @@ __all__ = [
     "CrfParams",
     "build_mrf",
     "theta0",
-    "Hinge",
-    "KlToTarget",
     "MfnParams",
     "forward",
     "predict",

@@ -21,32 +21,56 @@ from .mrf import softmax_init, unnormalized_kl_arrays
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
-MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
-# grad-check --max-layers; the untied checks grow with its cube (15 s at 10 and --size 6).
-MAX_CHECK_LAYERS = 10
 # Numeric flags checked before any command runs, by their argparse names.
 FINITE_FLAGS = ("lr", "momentum", "phase1_lr", "phase1_momentum", "phase2_lr",
                 "phase2_momentum", "c")
-NON_NEGATIVE_FLAGS = ("seed", "iters", "mf_iters")
-# Counts that must be at least 1, per command: a network needs a layer and a
-# split an image. `run-mf --iters 0` runs no sweep and stays valid.
-POSITIVE_FLAGS = {"gen-data": ("n",), "train-mfn-inference": ("iters",),
-                  "train-mfn-disc": ("layers",), "eval": ("iters",)}
+# Upper bounds on counts. Each keeps an accepted run on 50x100 images within
+# about 100 MB of peak RSS above the 55 MB of `import mfnet.cli`.
+# gen-data holds both splits until it writes them: 160 KB per n, 80 MB (78 measured).
+MAX_IMAGES = 500
+MAX_SWEEPS = 10**6  # mean field sweeps: one 8-byte list entry each, 8 MB
+# Network layers: per layer of an image, at most 470 KB (untied, raster:
+# inputs, tape and reverse-pass gradients), 47 MB; 200 layers measured 94 MB.
+MAX_LAYERS = 100
+MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
+# grad-check --max-layers; the untied checks grow with its cube (15 s at 10 and --size 6).
+MAX_CHECK_LAYERS = 10
+# (least, most) of each count flag, per command. A network needs a layer and
+# a split an image; `run-mf --iters 0` runs no sweep and stays valid.
+COUNT_BOUNDS = {
+    "gen-data": {"seed": (0, None), "n": (1, MAX_IMAGES)},
+    "train-crf": {"mf_iters": (0, MAX_SWEEPS), "steps": (0, None)},
+    "run-mf": {"iters": (0, MAX_SWEEPS)},
+    "train-mfn-inference": {"iters": (1, MAX_LAYERS), "steps": (0, None)},
+    "train-mfn-disc": {"layers": (1, MAX_LAYERS), "phase1_steps": (0, None),
+                       "phase2_steps": (0, None)},
+    "eval": {"iters": (1, MAX_LAYERS)},
+    "grad-check": {"seed": (0, None), "size": (1, MAX_CHECK_SIZE),
+                   "max_layers": (1, MAX_CHECK_LAYERS)},
+}
 
 
 def _check_numeric_flags(args) -> None:
-    """Reject a non-finite rate, momentum or cost, a negative seed or
-    iteration count and a zero layer or image count, naming the flag and
-    its value."""
+    """Reject a non-finite rate, momentum or cost and a count outside its
+    `COUNT_BOUNDS`, naming the flag and its value."""
     given = vars(args)
-    positive = POSITIVE_FLAGS.get(args.command, ())
     for name in FINITE_FLAGS:
         if name in given and not math.isfinite(given[name]):
             raise ValueError(f"--{name.replace('_', '-')} must be finite, got {given[name]}")
-    for name in NON_NEGATIVE_FLAGS + positive:
-        least = int(name in positive)
-        if name in given and given[name] < least:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= {least}, got {given[name]}")
+    for name, (least, most) in COUNT_BOUNDS.get(args.command, {}).items():
+        flag, value = name.replace("_", "-"), given[name]
+        if value < least:
+            raise ValueError(f"--{flag} must be >= {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"--{flag} must be <= {most}, got {value}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as a ValueError, which `main` prints as one
+    line; the subcommand parsers are made of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _join_negative_values(argv: list) -> list:
@@ -272,10 +296,6 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     from .gradcheck import run_grad_check
 
-    if not 1 <= args.size <= MAX_CHECK_SIZE:
-        raise ValueError(f"--size must be in 1..{MAX_CHECK_SIZE}, got {args.size}")
-    if not 1 <= args.max_layers <= MAX_CHECK_LAYERS:
-        raise ValueError(f"--max-layers must be in 1..{MAX_CHECK_LAYERS}, got {args.max_layers}")
     if not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     report = run_grad_check(
@@ -292,7 +312,7 @@ def cmd_grad_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mfn", description=__doc__)
+    parser = _Parser(prog="mfn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic letter dataset")
@@ -367,19 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code == 0 else EXIT_VALIDATION
-    try:
+        args = build_parser().parse_args(argv)
         # Non-finite results are detected where they arise (the engine and
         # the descent loop) and reported below as one line, without numpy's
         # floating-point warnings ahead of it.
         _check_numeric_flags(args)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
+    except SystemExit:  # -h: argparse printed the help
+        return EXIT_OK
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

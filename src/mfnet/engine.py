@@ -47,12 +47,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .mrf import GraphTopology
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 
 class _HashedOnce:
@@ -277,6 +279,9 @@ def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     matrix on label-major flattened q columns: row k*B + b holds, message by
     message in the pattern's order and then by read label l, the table
     entries T'[k, l] of every message into block position b."""
+    # Imported here: a run whose steps are all small never loads scipy.sparse.
+    from scipy.sparse import csr_array
+
     order, indptr, cols = st.csr
     K1, M = len(tables), len(order)
     data = tables.take(order, axis=2).swapaxes(1, 2).reshape(-1)
@@ -412,12 +417,11 @@ def _full(first, rest: np.ndarray) -> np.ndarray:
 
 
 def run_unrolled(
-    layers: Sequence[Tuple[np.ndarray, np.ndarray]],
+    layers: list,
     q0: np.ndarray,
     compiled: CompiledSchedule,
     tape: Optional[list] = None,
     sweep_hook=None,
-    inputs: Optional[list] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
     q and the last layer's activations relative to label 0 (column 0 is
@@ -427,10 +431,9 @@ def run_unrolled(
     Only labels 1..K-1 of q0 are read: q0 is a distribution, so label 0 is
     one minus their sum, and so is column 0 of every q returned.
 
-    `layers` is a sequence of (unary, pairwise) pairs, one per sweep; plain
-    mean field passes the same pair M times. `inputs` is their
-    `layer_inputs`, built here when not given; `layers` is not read when
-    it is, so a caller holding only reduced inputs passes them as both.
+    `layers` holds the `layer_inputs` of each sweep, reduced (unary,
+    tables, step operators) triples; plain mean field passes the same
+    triple M times.
     If `tape` is a list, one StepRecord per block step is appended for
     the reverse pass.
     `sweep_hook(sweep_index, q)` is called after each sweep with an (n, K)
@@ -441,10 +444,8 @@ def run_unrolled(
     q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
     a_final = np.zeros_like(q)
     q_rows, a_rows = list(q), list(a_final)  # row views, made once
-    if inputs is None:
-        inputs = layer_inputs(compiled, layers)
-    for m, (unary, tables, ops) in enumerate(inputs):
-        last = m == len(inputs) - 1
+    for m, (unary, tables, ops) in enumerate(layers):
+        last = m == len(layers) - 1
         for st, op in zip(compiled.steps, ops):
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)

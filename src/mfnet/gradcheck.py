@@ -1,13 +1,13 @@
 """Finite-difference verification of the reverse pass on small random instances."""
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .crf import CrfParams, build_mrf
 from .engine import Schedule, checkerboard_schedule, raster_schedule
-from .mfn import Hinge, KlToTarget, MfnParams, backward, forward, hinge_loss
+from .mfn import MfnParams, backward, forward, hinge_loss_grad, kl_grad_q
 from .mrf import unnormalized_kl_arrays
 
 
@@ -24,21 +24,21 @@ def check_config(
 ) -> float:
     """Max relative error between the reverse pass and central differences."""
 
-    def loss_of(vec):
-        p = MfnParams.from_vector(vec, params.tied, len(params.layers))
+    def run(p):
+        """The forward trace, the loss and its gradients on the final q and activations."""
         trace = forward(y, p, n_layers, schedule)
         if loss_kind == "kl":
-            return unnormalized_kl_arrays(
-                trace.q_final, target.unary, target.pairwise, target.topology.edges
-            )
-        return hinge_loss(trace.a_final, x_hat, c)
+            q = trace.q_final
+            loss = unnormalized_kl_arrays(q, target.unary, target.pairwise, target.topology.edges)
+            return trace, loss, kl_grad_q(q, target), None
+        loss, ga = hinge_loss_grad(trace.a_final, x_hat, c)
+        return trace, loss, None, ga
 
-    trace = forward(y, params, n_layers, schedule)
-    if loss_kind == "kl":
-        grads = backward(trace, y, params, KlToTarget(target))
-    else:
-        grads = backward(trace, y, params, Hinge(c), x_hat)
-    analytic = np.concatenate(grads)
+    def loss_of(vec):
+        return run(MfnParams.from_vector(vec, params.tied, len(params.layers)))[1]
+
+    trace, _, gq, ga = run(params)
+    analytic = np.concatenate(backward(trace, y, params, gq, ga))
     vec = params.to_vector()
     fd = np.zeros_like(vec)
     for i in range(len(vec)):

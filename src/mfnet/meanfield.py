@@ -79,9 +79,8 @@ def run(
                 unnormalized_kl_arrays(q, mrf.unary, mrf.pairwise, edges)
             )
 
-    out, _ = engine.run_unrolled(
-        [(mrf.unary, mrf.pairwise)] * n_iters, q0.probs, compiled, sweep_hook=hook
-    )
+    inputs = engine.layer_inputs(compiled, [(mrf.unary, mrf.pairwise)]) * n_iters
+    out, _ = engine.run_unrolled(inputs, q0.probs, compiled, sweep_hook=hook)
     return FactorialDistribution(out), kl_trace
 
 

@@ -2,9 +2,10 @@
 
 One layer per mean field sweep, softmax nonlinearities, parameters either
 shared across layers (tied, equivalent to plain mean field) or owned per
-layer. The reverse pass runs over the recorded forward tape and supports
-two losses: KL against a fixed target model, and an element-wise hinge
-loss on the final activations.
+layer. The reverse pass runs over the recorded forward tape and pulls a
+loss gradient on the output back to the parameters: `kl_grad_q` gives it
+for KL against a fixed target model, `hinge_loss_grad` for an
+element-wise hinge loss on the final activations.
 
 `forward` and `backward` hand the engine the CRF's reduced inputs and
 take its reduced gradients with no `PairwiseMRF` in between;
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,27 +68,6 @@ class MfnParams:
         )
 
 
-@dataclass(frozen=True)
-class KlToTarget:
-    """Minimize KL between the network output and a fixed target model."""
-
-    target: PairwiseMRF
-
-
-@dataclass(frozen=True)
-class Hinge:
-    """Element-wise margin loss on final activations; c is the mislabeling cost."""
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("mislabeling cost must be positive")
-
-
-LossSpec = Union[KlToTarget, Hinge]
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Everything recorded during a forward pass that the reverse pass needs."""
@@ -131,7 +111,7 @@ def forward(
     if params.tied:
         inputs *= n_layers
     q1 = engine.reduced_softmax(u1[0][None])
-    return _taped_run(compiled, inputs, inputs, engine._full(1.0 - q1[0], q1))
+    return _taped_run(compiled, inputs, engine._full(1.0 - q1[0], q1))
 
 
 def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrace:
@@ -140,14 +120,13 @@ def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrac
     if any(m.topology is not topo for m in mrfs):
         raise ValueError("all layers must share one topology")
     compiled = engine.compile_schedule(topo, schedule)
-    layers = [(m.unary, m.pairwise) for m in mrfs]
-    inputs = engine.layer_inputs(compiled, layers)
-    return _taped_run(compiled, layers, inputs, row_softmax(layers[0][0]))
+    inputs = engine.layer_inputs(compiled, [(m.unary, m.pairwise) for m in mrfs])
+    return _taped_run(compiled, inputs, row_softmax(mrfs[0].unary))
 
 
-def _taped_run(compiled, layers, inputs, q0: np.ndarray) -> ForwardTrace:
+def _taped_run(compiled, inputs, q0: np.ndarray) -> ForwardTrace:
     tape: List[engine.StepRecord] = []
-    q_final, a_final = engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
+    q_final, a_final = engine.run_unrolled(inputs, q0, compiled, tape=tape)
     return ForwardTrace(compiled, inputs, q0.T[1:], tape, q_final, a_final)
 
 
@@ -176,8 +155,10 @@ def hinge_loss_grad(
 
     The loss sums over sites the largest score minus the true label's
     activation; the gradient is +1 at each site's first loss-augmented
-    argmax and -1 at its true label.
+    argmax and -1 at its true label. The mislabeling cost c must be positive.
     """
+    if c <= 0:
+        raise ValueError("mislabeling cost must be positive")
     a = np.asarray(a, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.int64).reshape(-1)
     n, K = a.shape
@@ -198,25 +179,17 @@ def hinge_loss_grad(
     return float(np.sum(top - true)), g
 
 
-def hinge_loss(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> float:
-    """Sum over sites of max_k(a_k + c[k != label]) minus the true label's activation."""
-    return hinge_loss_grad(a, x_hat, c)[0]
-
-
-def hinge_grad_a(a: np.ndarray, x_hat: np.ndarray, c: float = 1.0) -> np.ndarray:
-    """Per-site hinge gradient: +1 at the first loss-augmented argmax, -1 at the true label."""
-    return hinge_loss_grad(a, x_hat, c)[1]
-
-
 def backward(
     trace: ForwardTrace,
     y: np.ndarray,
     params: MfnParams,
-    loss: LossSpec,
-    x_hat: Optional[np.ndarray] = None,
+    gq_final: Optional[np.ndarray] = None,
     ga_final: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Loss gradient as one 28-vector per parameter layer (a single vector when tied).
+    """Loss gradients on the final q (`gq_final`, as from `kl_grad_q`)
+    and the final activations (`ga_final`, as from `hinge_loss_grad`),
+    either or both, pulled back to one 28-vector per parameter layer (a
+    single vector when tied).
 
     The engine's reduced gradients go straight to theta (`theta_gradient`).
     A Potts table p*I reduces to the table 2p and the constant -p into
@@ -224,24 +197,9 @@ def backward(
     gradient minus its endpoints' unary gradients, summed in the order
     `engine.lift_gradients` sums them. q0 is the reduced softmax of the
     first layer's label-1 unary; its gradient folds into that unary alone.
-
-    For a hinge loss, a caller that has the gradient of `trace.a_final`
-    already (`hinge_loss_grad`) passes it as `ga_final`; `x_hat` is then
-    not read.
     """
     if not params.tied and len(params.layers) != len(trace.inputs):
         raise ValueError("parameters do not match the trace")
-    if isinstance(loss, KlToTarget):
-        gq_final = kl_grad_q(trace.q_final, loss.target)
-        ga_final = None
-    elif isinstance(loss, Hinge):
-        if ga_final is None:
-            if x_hat is None:
-                raise ValueError("hinge loss needs ground-truth labels")
-            ga_final = hinge_grad_a(trace.a_final, np.asarray(x_hat).reshape(-1), loss.c)
-        gq_final = None
-    else:
-        raise TypeError(f"unknown loss {loss!r}")
     dunary, dtables, gq0 = engine.backward_unrolled(
         trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
@@ -401,7 +359,7 @@ def train_inference(
             losses.append(
                 unnormalized_kl_arrays(trace.q_final, t.unary, t.pairwise, t.topology.edges)
             )
-            grads.append(np.concatenate(backward(trace, y, params, KlToTarget(t))))
+            grads.append(np.concatenate(backward(trace, y, params, kl_grad_q(trace.q_final, t))))
         loss = float(np.mean(losses))
         return loss, np.sum(grads, axis=0) / len(grads), {"loss": loss}
 
@@ -437,7 +395,7 @@ def _hinge_epoch(images, params, n_layers, schedule, c):
         x_flat = np.asarray(x_hat).reshape(-1)
         loss, ga = hinge_loss_grad(trace.a_final, x_flat, c)
         losses.append(loss)
-        grads.append(backward(trace, y, params, Hinge(c), ga_final=ga))
+        grads.append(backward(trace, y, params, ga_final=ga))
         accs.append(float(np.mean(predict(trace) == x_flat)))
     loss = float(np.mean(losses))
     layer_grads = np.sum(grads, axis=0) / len(grads)

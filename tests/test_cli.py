@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfnet import data
+from mfnet import cli, data
 from mfnet.cli import build_parser, main
 from mfnet.crf import theta0
 from mfnet.mfn import MfnParams
@@ -336,6 +336,13 @@ class TestErrors:
          "--c", "nan"),
         (["eval", "--model", "{theta}", "--data", "{test}", "--out-dir", "{out}"],
          "--iters", "-1"),
+        (["train-crf", "--data", "{train}", "--out", "{out}"], "--steps", "-1"),
+        (["train-mfn-inference", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--steps", "-1"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--phase1-steps", "-2"),
+        (["train-mfn-disc", "--params", "{theta}", "--data", "{train}", "--out", "{out}"],
+         "--phase2-steps", "-1"),
     ])
     def test_numeric_flag_out_of_range_names_the_flag(self, tiny_dataset, tmp_path, capsys,
                                                       argv, flag, value):
@@ -394,6 +401,64 @@ class TestErrors:
         assert err == f"error: {flag} must be >= 1, got 0\n"
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("argv, flag, most", [
+        (["gen-data", "--out", "o"], "--n", cli.MAX_IMAGES),
+        (["train-crf", "--data", "d", "--out", "o"], "--mf-iters", cli.MAX_SWEEPS),
+        (["run-mf", "--params", "p", "--data", "d"], "--iters", cli.MAX_SWEEPS),
+        (["train-mfn-inference", "--params", "p", "--data", "d", "--out", "o"], "--iters",
+         cli.MAX_LAYERS),
+        (["train-mfn-disc", "--params", "p", "--data", "d", "--out", "o"], "--layers",
+         cli.MAX_LAYERS),
+        (["eval", "--model", "m", "--data", "d"], "--iters", cli.MAX_LAYERS),
+        (["grad-check"], "--size", cli.MAX_CHECK_SIZE),
+        (["grad-check"], "--max-layers", cli.MAX_CHECK_LAYERS),
+    ])
+    def test_count_over_its_bound_names_the_flag(self, tmp_path, capsys, monkeypatch, argv,
+                                                 flag, most):
+        # Rejected before the command reads or allocates anything: the
+        # paths named here do not exist.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, *argv, flag, str(most + 1))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {flag} must be <= {most}, got {most + 1}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("c", ["0", "-1"])
+    def test_non_positive_cost_is_one_line(self, tiny_dataset, tmp_path, capsys, c):
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        out = tmp_path / "model.json"
+        code, stdout, err = run_cli(capsys, "train-mfn-disc", "--params", str(theta),
+                                    "--data", str(tiny_dataset / "train"), "--out", str(out),
+                                    "--layers", "1", "--phase1-steps", "1",
+                                    "--phase2-steps", "0", "--c", c)
+        assert code == 1 and stdout == ""
+        assert err == "error: mislabeling cost must be positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["eval", "--model", "m", "--data", "d", "--iters", "x"], "invalid int value: 'x'"),
+        (["train-mfn-disc", "--params", "p", "--data", "d", "--out", "o", "--c", "-1e-3x"],
+         "expected one argument"),
+        (["run-mf", "--params", "p", "--data", "d", "--bogus", "x"],
+         "unrecognized arguments: --bogus x"),
+        (["eval", "--data", "d"], "the following arguments are required: --model"),
+        (["eval", "--model", "m", "--data", "d", "--schedule", "spiral"], "invalid choice"),
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "invalid choice: 'frobnicate'"),
+    ])
+    def test_parse_error_is_one_line(self, capsys, argv, shown):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and shown in err
+
+    @pytest.mark.parametrize("argv", [["-h"], ["eval", "--help"]])
+    def test_help_is_printed_and_exits_zero(self, capsys, argv):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert stdout.startswith("usage: mfn")
+
     def test_run_mf_with_zero_sweeps_is_valid(self, tiny_dataset, tmp_path, capsys):
         theta = tmp_path / "theta.json"
         theta.write_text(json.dumps(theta0().to_json_dict()))
@@ -442,6 +507,18 @@ class TestErrors:
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    """Only a step large enough for a stored operator loads scipy.sparse."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mfnet.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 class TestGradCheckCommand:

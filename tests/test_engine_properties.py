@@ -95,14 +95,14 @@ def test_backward_matches_finite_differences(problem, seeds, seed):
     q0 = rng.dirichlet(np.ones(K), size=n)
 
     def loss():
-        q, a = engine.run_unrolled(layers, q0, compiled)
+        q, a = engine.run_unrolled(engine.layer_inputs(compiled, layers), q0, compiled)
         total = float(np.sum(gq * q)) if gq is not None else 0.0
         if ga is not None:
             total += float(np.sum(ga * a))
         return total
 
     tape, inputs = [], engine.layer_inputs(compiled, layers)
-    engine.run_unrolled(layers, q0, compiled, tape=tape, inputs=inputs)
+    engine.run_unrolled(inputs, q0, compiled, tape=tape)
     dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
     lifted = [engine.lift_gradients(compiled, du, dt) for du, dt in zip(dunary, dtables)]
 
@@ -146,7 +146,8 @@ def test_run_unrolled_matches_site_updates(problem):
                 )
                 q[v] = meanfield.site_update(m, before, v)
     compiled = engine.compile_schedule(mrfs[0].topology, schedule)
-    out, a_out = engine.run_unrolled([(m.unary, m.pairwise) for m in mrfs], q0, compiled)
+    inputs = engine.layer_inputs(compiled, [(m.unary, m.pairwise) for m in mrfs])
+    out, a_out = engine.run_unrolled(inputs, q0, compiled)
     np.testing.assert_allclose(out, q, rtol=0, atol=1e-12)
     # The engine returns activations relative to label 0.
     np.testing.assert_allclose(a_out, a - a[:, :1], rtol=0, atol=1e-12)
@@ -189,7 +190,7 @@ def test_operator_path_equals_bincount_path_at_k2(h, w, schedule_name, rng):
     runs = []
     for inp in (inputs, plain):
         tape = []
-        q, a = engine.run_unrolled(inp, q0, compiled, tape=tape, inputs=inp)
+        q, a = engine.run_unrolled(inp, q0, compiled, tape=tape)
         dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inp, gq, ga)
         records = [x for rec in tape for x in (rec.q_read_km, rec.q_out_km)]
         runs.append([q, a, *records, *dunary, *dtables, gq0])
@@ -211,7 +212,7 @@ def test_backward_rejects_a_tape_of_another_length():
     compiled = engine.compile_schedule(topo, engine.raster_schedule(3))
     layers = [(np.zeros((3, 2)), np.ones((1, 2, 2)))] * 2
     tape, inputs = [], engine.layer_inputs(compiled, layers)
-    engine.run_unrolled(layers, np.full((3, 2), 0.5), compiled, tape=tape, inputs=inputs)
+    engine.run_unrolled(inputs, np.full((3, 2), 0.5), compiled, tape=tape)
     for bad_tape, bad_inputs in [(tape[:-1], inputs), (tape + tape[:1], inputs),
                                  (tape, inputs[:1])]:
         with pytest.raises(ValueError, match="tape length"):
@@ -254,12 +255,13 @@ def test_independent_blocks_equal_sequential(problem):
     blocks = _independent_blocks(topo, order)
     layers = [(m.unary, m.pairwise) for m in mrfs]
     q0 = row_softmax(mrfs[0].unary)
-    parallel, _ = engine.run_unrolled(
-        layers, q0, engine.compile_schedule(topo, BlockParallel(tuple(blocks)))
-    )
-    sequential, _ = engine.run_unrolled(
-        layers, q0, engine.compile_schedule(topo, Sequential(tuple(order)))
-    )
+
+    def run(schedule):
+        compiled = engine.compile_schedule(topo, schedule)
+        return engine.run_unrolled(engine.layer_inputs(compiled, layers), q0, compiled)[0]
+
+    parallel = run(BlockParallel(tuple(blocks)))
+    sequential = run(Sequential(tuple(order)))
     np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-12)
 
 
@@ -402,9 +404,14 @@ def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):
     unary = rng.normal(size=(12, 2))
     pairwise = rng.normal(size=(topo.n_edges, 2, 2))
     q0 = row_softmax(unary)
-    before, _ = engine.run_unrolled([(unary, pairwise)] * 2, q0, compiled)
+
+    def run(pairwise):
+        return engine.run_unrolled(engine.layer_inputs(compiled, [(unary, pairwise)]) * 2,
+                                   q0, compiled)[0]
+
+    before = run(pairwise)
     pairwise += 1.0
-    after, _ = engine.run_unrolled([(unary, pairwise)] * 2, q0, compiled)
-    fresh, _ = engine.run_unrolled([(unary, pairwise.copy())] * 2, q0, compiled)
+    after = run(pairwise)
+    fresh = run(pairwise.copy())
     assert not np.array_equal(before, after)
     np.testing.assert_array_equal(after, fresh)

@@ -10,14 +10,10 @@ from mfnet.crf import CrfParams, build_mrf, theta0
 from mfnet.engine import BlockParallel, Sequential, checkerboard_schedule, raster_schedule
 from mfnet.gradcheck import check_config
 from mfnet.mfn import (
-    Hinge,
-    KlToTarget,
     MfnParams,
     backward,
     forward,
     forward_mrfs,
-    hinge_grad_a,
-    hinge_loss,
     hinge_loss_grad,
     kl_grad_q,
     predict,
@@ -28,6 +24,14 @@ from mfnet.mrf import GraphTopology, PairwiseMRF, softmax_init, unnormalized_kl_
 
 def random_theta(rng, s=0.3):
     return CrfParams(w=rng.normal(0, s, 26), p_h=rng.normal(0, s), p_v=rng.normal(0, s))
+
+
+def hinge_loss(a, x_hat, c=1.0):
+    return hinge_loss_grad(a, x_hat, c)[0]
+
+
+def hinge_grad_a(a, x_hat, c=1.0):
+    return hinge_loss_grad(a, x_hat, c)[1]
 
 
 class TestForward:
@@ -196,6 +200,11 @@ class TestHinge:
             with pytest.raises(ValueError, match=f"{len(labels)} labels given for 3 sites"):
                 fn(a, labels)
 
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_non_positive_cost_rejected(self, c):
+        with pytest.raises(ValueError, match="mislabeling cost must be positive"):
+            hinge_loss_grad(np.zeros((3, 2)), [0, 1, 1], c)
+
     def test_structure_random(self, rng):
         a = rng.normal(0, 3, (200, 4))
         x_hat = rng.integers(0, 4, 200)
@@ -214,7 +223,7 @@ class TestBackward:
         sched = checkerboard_schedule(3, 3)
         trace = forward(y, params, 1, sched)
         target = build_mrf(y, th)
-        (g,) = backward(trace, y, params, KlToTarget(target))
+        (g,) = backward(trace, y, params, kl_grad_q(trace.q_final, target))
         np.testing.assert_allclose(g, 0.0, atol=1e-8)
 
     def test_quick_finite_difference_spot_checks(self, rng):
@@ -238,21 +247,9 @@ class TestBackward:
         untied = tied.untied_copy(3)
         t1 = forward(y, tied, 3, sched)
         t2 = forward(y, untied, 3, sched)
-        (g_tied,) = backward(t1, y, tied, KlToTarget(target))
-        g_untied = backward(t2, y, untied, KlToTarget(target))
+        (g_tied,) = backward(t1, y, tied, kl_grad_q(t1.q_final, target))
+        g_untied = backward(t2, y, untied, kl_grad_q(t2.q_final, target))
         np.testing.assert_allclose(g_tied, np.sum(g_untied, axis=0), atol=1e-10)
-
-    def test_hinge_gradient_given_equals_labels_given(self, rng):
-        y = rng.random((4, 5))
-        x_hat = rng.integers(0, 2, 20)
-        params = MfnParams(tied=False, layers=[random_theta(rng) for _ in range(2)])
-        trace = forward(y, params, 2, checkerboard_schedule(4, 5))
-        loss, ga = hinge_loss_grad(trace.a_final, x_hat, 0.5)
-        assert loss == hinge_loss(trace.a_final, x_hat, 0.5)
-        got = backward(trace, y, params, Hinge(0.5), ga_final=ga)
-        want = backward(trace, y, params, Hinge(0.5), x_hat)
-        for g, g_ref in zip(got, want):
-            assert g.tobytes() == g_ref.tobytes()
 
     def test_trace_params_mismatch_rejected(self, rng):
         y = rng.random((3, 3))
@@ -260,7 +257,7 @@ class TestBackward:
         trace = forward(y, params, 2, checkerboard_schedule(3, 3))
         wrong = MfnParams(tied=False, layers=[random_theta(rng) for _ in range(3)])
         with pytest.raises(ValueError):
-            backward(trace, y, wrong, Hinge(1.0), np.zeros(9, dtype=int))
+            backward(trace, y, wrong, ga_final=np.zeros((9, 2)))
 
 
 class TestPredict:
@@ -307,7 +304,7 @@ class TestSgdMomentum:
                 )
 
             trace = forward(y, params, 2, sched)
-            (g,) = backward(trace, y, params, KlToTarget(target))
+            (g,) = backward(trace, y, params, kl_grad_q(trace.q_final, target))
             vec, _ = sgd_momentum(params.to_vector(), g, 1e-6, 0.0)
             new = MfnParams.from_vector(vec, tied=True, n_layers=1)
             assert loss_of(new) <= loss_of(params) + 1e-12
