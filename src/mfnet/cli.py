@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ EXIT_NUMERICAL = 2
 # Numeric flags checked before any command runs, by their argparse names.
 FINITE_FLAGS = ("lr", "momentum", "phase1_lr", "phase1_momentum", "phase2_lr",
                 "phase2_momentum", "c")
+POSITIVE_FLAGS = ("c", "tol")
 # Upper bounds on counts. Each keeps an accepted run on 50x100 images within
 # about 100 MB of peak RSS above the 55 MB of `import mfnet.cli`.
 # gen-data holds both splits until it writes them: 160 KB per n, 80 MB (78 measured).
@@ -50,19 +52,39 @@ COUNT_BOUNDS = {
 }
 
 
-def _check_numeric_flags(args) -> None:
-    """Reject a non-finite rate, momentum or cost and a count outside its
-    `COUNT_BOUNDS`, naming the flag and its value."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_args(args) -> None:
+    """Reject, before the command reads anything, a value that fails its
+    flag table check, naming the flag and the value, and a trainer's --out
+    or --log that is a directory or lies in a missing one, naming the path."""
     given = vars(args)
+
+    def reject(name, rule):
+        raise ValueError(f"{_flag(name)} must be {rule}, got {given[name]}")
+
     for name in FINITE_FLAGS:
         if name in given and not math.isfinite(given[name]):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {given[name]}")
+            reject(name, "finite")
+    for name in POSITIVE_FLAGS:
+        if name in given and not given[name] > 0:
+            reject(name, "positive")
     for name, (least, most) in COUNT_BOUNDS.get(args.command, {}).items():
-        flag, value = name.replace("_", "-"), given[name]
-        if value < least:
-            raise ValueError(f"--{flag} must be >= {least}, got {value}")
-        if most is not None and value > most:
-            raise ValueError(f"--{flag} must be <= {most}, got {value}")
+        if given[name] < least:
+            reject(name, f">= {least}")
+        if most is not None and given[name] > most:
+            reject(name, f"<= {most}")
+    # The trainers are the commands with --log; gen-data's --out is the
+    # directory it writes into.
+    if "log" in given:
+        for name in ("out", "log") if args.log else ("out",):
+            path = Path(given[name])
+            if path.is_dir():
+                raise ValueError(f"{_flag(name)} {given[name]}: is a directory")
+            if not path.parent.is_dir():
+                raise ValueError(f"{_flag(name)} {given[name]}: no directory {path.parent}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,15 +121,6 @@ def _drain(pairs: list):
         yield pairs.pop()
 
 
-def _schedule_for(name: str, shape):
-    h, w = shape
-    if name == "checkerboard":
-        return checkerboard_schedule(h, w)
-    if name == "raster":
-        return raster_schedule(h * w)
-    raise ValueError(f"unknown schedule {name!r}")
-
-
 def _load_data(args):
     """Image pairs of the --data split, given its manifest or the directory
     holding it, and the --schedule for their size."""
@@ -121,17 +134,20 @@ def _load_data(args):
     other = next((x.shape for x, _ in pairs if x.shape != shape), None)
     if other is not None:
         raise ValueError(f"{path}: the images differ in size, {shape} and {other}")
-    return pairs, _schedule_for(args.schedule, shape)
+    h, w = shape
+    if args.schedule == "raster":
+        return pairs, raster_schedule(h * w)
+    return pairs, checkerboard_schedule(h, w)
 
 
-def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
-
-
-def _write_jsonl(path, rows) -> None:
-    with open(path, "w") as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
+def _save(args, params, log) -> int:
+    """A trainer's last step: the parameters to --out, the log rows as JSON
+    lines to --log when given, and the --out path to stdout."""
+    Path(args.out).write_text(json.dumps(params.to_json_dict(), indent=2) + "\n")
+    if args.log:
+        Path(args.log).write_text("".join(json.dumps(row) + "\n" for row in log))
+    print(args.out)
+    return EXIT_OK
 
 
 CRF_FORMAT = "a CRF parameter object with keys w, p_h, p_v"
@@ -198,11 +214,7 @@ def cmd_train_crf(args) -> int:
         schedule=schedule,
         log=log,
     )
-    _write_json(args.out, theta.to_json_dict())
-    if args.log:
-        _write_jsonl(args.log, log)
-    print(args.out)
-    return EXIT_OK
+    return _save(args, theta, log)
 
 
 def cmd_run_mf(args) -> int:
@@ -245,34 +257,18 @@ def cmd_train_mfn_inference(args) -> int:
         steps=args.steps,
         log=log,
     )
-    _write_json(args.out, params.to_json_dict())
-    if args.log:
-        _write_jsonl(args.log, log)
-    print(args.out)
-    return EXIT_OK
+    return _save(args, params, log)
 
 
 def cmd_train_mfn_disc(args) -> int:
     theta = _load_crf_params(args.params)
     pairs, schedule = _load_data(args)
-    protocol = DiscProtocol(
-        phase1_steps=args.phase1_steps,
-        phase1_lr=args.phase1_lr,
-        phase1_momentum=args.phase1_momentum,
-        phase2_steps=args.phase2_steps,
-        phase2_lr=args.phase2_lr,
-        phase2_momentum=args.phase2_momentum,
-        c=args.c,
-    )
+    protocol = DiscProtocol(**{f.name: getattr(args, f.name) for f in fields(DiscProtocol)})
     result = mfn.train_discriminative(
         pairs, theta, n_layers=args.layers, schedule=schedule, protocol=protocol
     )
     params = result.phase1_params if args.phase2_steps == 0 else result.params
-    _write_json(args.out, params.to_json_dict())
-    if args.log:
-        _write_jsonl(args.log, result.log)
-    print(args.out)
-    return EXIT_OK
+    return _save(args, params, result.log)
 
 
 def cmd_eval(args) -> int:
@@ -296,84 +292,62 @@ def cmd_eval(args) -> int:
 def cmd_grad_check(args) -> int:
     from .gradcheck import run_grad_check
 
-    if not args.tol > 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
-    report = run_grad_check(
-        size=args.size,
-        max_layers=args.max_layers,
-        seed=args.seed,
-        h=1e-5,
-        losses=("kl", "hinge"),
-    )
+    report = run_grad_check(size=args.size, max_layers=args.max_layers, seed=args.seed)
     print(json.dumps(report, indent=2))
-    if report["max_rel_err"] >= args.tol:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if report["max_rel_err"] >= args.tol else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several commands, each declared once as a parent parser.
+    out, log, params, split = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", required=True,
+                     help="output parameter JSON (gen-data: output directory)")
+    log.add_argument("--log", default=None, help="JSON-lines metrics log")
+    params.add_argument("--params", required=True, help="CRF parameter JSON")
+    split.add_argument("--data", required=True, help="split manifest or its directory")
+    split.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
 
-    p = sub.add_parser("gen-data", help="generate the synthetic letter dataset")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("gen-data", parents=[out],
+                       help="generate the synthetic letter dataset")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=50)
     p.add_argument("--flip-p", type=float, default=data.DEFAULT_FLIP_P)
     p.add_argument("--sigma", type=float, default=data.DEFAULT_SIGMA)
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train-crf", help="likelihood-train the baseline CRF")
-    p.add_argument("--data", required=True, help="train split manifest or its directory")
-    p.add_argument("--out", required=True, help="output parameter JSON")
-    p.add_argument("--log", default=None, help="JSON-lines metrics log")
+    p = sub.add_parser("train-crf", parents=[split, out, log],
+                       help="likelihood-train the baseline CRF")
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--mf-iters", type=int, default=30)
-    p.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
     p.set_defaults(func=cmd_train_crf)
 
-    p = sub.add_parser("run-mf", help="evaluate mean field for fixed parameters")
-    p.add_argument("--params", required=True)
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("run-mf", parents=[params, split],
+                       help="evaluate mean field for fixed parameters")
     p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
     p.set_defaults(func=cmd_run_mf)
 
-    p = sub.add_parser("train-mfn-inference", help="train untied layers to a KL target")
-    p.add_argument("--params", required=True, help="target model parameters")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None)
+    p = sub.add_parser("train-mfn-inference", parents=[params, split, out, log],
+                       help="train untied layers to a KL target")
     p.add_argument("--iters", type=int, default=3, help="number of layers")
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--steps", type=int, default=50)
-    p.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
     p.set_defaults(func=cmd_train_mfn_inference)
 
-    p = sub.add_parser("train-mfn-disc", help="two-phase hinge training")
-    p.add_argument("--params", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None)
+    p = sub.add_parser("train-mfn-disc", parents=[params, split, out, log],
+                       help="two-phase hinge training")
     p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--phase1-steps", type=int, default=50)
-    p.add_argument("--phase1-lr", type=float, default=0.0005)
-    p.add_argument("--phase1-momentum", type=float, default=0.5)
-    p.add_argument("--phase2-steps", type=int, default=200)
-    p.add_argument("--phase2-lr", type=float, default=0.002)
-    p.add_argument("--phase2-momentum", type=float, default=0.9)
-    p.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
+    for f in fields(DiscProtocol):
+        p.add_argument(_flag(f.name), type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train_mfn_disc)
 
-    p = sub.add_parser("eval", help="accuracy of a saved model on a split")
+    p = sub.add_parser("eval", parents=[split], help="accuracy of a saved model on a split")
     p.add_argument("--model", required=True, help="CRF or MFN parameter JSON")
-    p.add_argument("--data", required=True)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--out-dir", default=None, help="write per-image predictions as PGM")
-    p.add_argument("--schedule", choices=["checkerboard", "raster"], default="checkerboard")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("grad-check", help="finite-difference check of the reverse pass")
@@ -393,7 +367,7 @@ def main(argv=None) -> int:
         # Non-finite results are detected where they arise (the engine and
         # the descent loop) and reported below as one line, without numpy's
         # floating-point warnings ahead of it.
-        _check_numeric_flags(args)
+        _check_args(args)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
     except SystemExit:  # -h: argparse printed the help

@@ -106,7 +106,7 @@ def add_noise(
 ) -> np.ndarray:
     """Per-pixel label flips, then additive Gaussian noise, then clamp to [0, 1]."""
     if not 0 <= flip_p <= 1:
-        raise ValueError("flip probability must be in [0, 1]")
+        raise ValueError(f"flip_p must be in [0, 1], got {flip_p}")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     clean = np.asarray(clean, dtype=np.float64)

@@ -55,6 +55,14 @@ class TestGenData:
         assert err.startswith("error: sigma ")
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flip_p", ["-1", "1.5", "nan"])
+    def test_flip_probability_out_of_range_names_it(self, tmp_path, capsys, flip_p):
+        code, out, err = run_cli(capsys, "gen-data", "--out", str(tmp_path), "--n", "1",
+                                 "--flip-p", flip_p)
+        assert code == 1 and out == ""
+        assert err == f"error: flip_p must be in [0, 1], got {float(flip_p)}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_manifest_fields(self, tiny_dataset):
         meta = json.loads((tiny_dataset / "train/manifest.json").read_text())
         assert meta["n_images"] == 2
@@ -433,8 +441,40 @@ class TestErrors:
                                     "--layers", "1", "--phase1-steps", "1",
                                     "--phase2-steps", "0", "--c", c)
         assert code == 1 and stdout == ""
-        assert err == "error: mislabeling cost must be positive\n"
+        assert err == f"error: --c must be positive, got {float(c)}\n"
         assert not out.exists()
+
+    def test_non_positive_cost_without_steps_is_rejected(self, tmp_path, capsys, monkeypatch):
+        # No step calls the hinge loss, so only the flag check sees the
+        # cost; the split and parameter paths do not exist.
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run_cli(capsys, "train-mfn-disc", "--params", "p", "--data", "d",
+                                    "--out", "model.json", "--phase1-steps", "0",
+                                    "--phase2-steps", "0", "--c", "0")
+        assert code == 1 and stdout == ""
+        assert err == "error: --c must be positive, got 0.0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--log"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("argv", [
+        ["train-crf", "--steps", "0"],
+        ["train-mfn-inference", "--params", "{missing}", "--steps", "0"],
+        ["train-mfn-disc", "--params", "{missing}", "--phase1-steps", "0", "--phase2-steps", "0"],
+    ])
+    def test_unwritable_output_is_rejected_before_training(self, tiny_dataset, tmp_path, capsys,
+                                                           argv, flag, where):
+        paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.jsonl"}
+        paths[flag] = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+        for data in (tiny_dataset / "train", tmp_path / "no_split"):
+            code, stdout, err = run_cli(
+                capsys, *[a.format(missing=tmp_path / "no.json") for a in argv],
+                "--data", str(data), "--out", str(paths["--out"]),
+                "--log", str(paths["--log"]))
+            assert code == 1 and stdout == ""
+            assert err.startswith(f"error: {flag} {paths[flag]}: ")
+            assert len(err.splitlines()) == 1
+            assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, shown", [
         (["eval", "--model", "m", "--data", "d", "--iters", "x"], "invalid int value: 'x'"),
