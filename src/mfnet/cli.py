@@ -24,7 +24,7 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 # Numeric flags checked before any command runs, by their argparse names.
 FINITE_FLAGS = ("lr", "momentum", "phase1_lr", "phase1_momentum", "phase2_lr",
-                "phase2_momentum", "c")
+                "phase2_momentum", "c", "tol")
 POSITIVE_FLAGS = ("c", "tol")
 # Upper bounds on counts. Each keeps an accepted run on 50x100 images within
 # about 100 MB of peak RSS above the 55 MB of `import mfnet.cli`.
@@ -159,7 +159,7 @@ def _read_params(path, parse, expected):
     wrong type is reported with the file and the `expected` format."""
     try:
         d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")
@@ -273,6 +273,10 @@ def cmd_train_mfn_disc(args) -> int:
 
 def cmd_eval(args) -> int:
     params = _load_model(args.model)
+    n = len(params.layers)
+    if not params.tied and n != args.iters:
+        raise ValueError(f"{args.model}: an untied model of {n} layer{'s' * (n != 1)} "
+                         f"needs --iters {n}, got {args.iters}")
     pairs, schedule = _load_data(args)
     accs = []
     out_dir = Path(args.out_dir) if args.out_dir else None
@@ -374,6 +378,9 @@ def main(argv=None) -> int:
         return EXIT_OK
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_VALIDATION
     except (FloatingPointError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

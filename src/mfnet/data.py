@@ -181,6 +181,8 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
     if not all(f.isdigit() for f in fields[1:]):
         raise ValueError(f"{path}: PGM header needs integer width, height and maxval")
     width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if not width or not height:
+        raise ValueError(f"{path}: PGM width and height must be positive, got {width}x{height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
@@ -215,7 +217,7 @@ def load_split(manifest_path) -> List[LabeledImage]:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
         raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")
@@ -227,9 +229,10 @@ def load_split(manifest_path) -> List[LabeledImage]:
             raise ValueError(f"{manifest_path}: files[{i}] is not an object with keys input, label")
         noisy, maxval = read_pgm(manifest_path.parent / entry["input"])
         label, label_max = read_pgm(manifest_path.parent / entry["label"])
-        images.append(
-            LabeledImage(input=noisy / maxval, label=(label > label_max // 2))
-        )
+        try:
+            images.append(LabeledImage(input=noisy / maxval, label=(label > label_max // 2)))
+        except ValueError as exc:
+            raise ValueError(f"{manifest_path}: files[{i}]: {exc}") from None
     return images
 
 

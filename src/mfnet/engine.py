@@ -25,16 +25,17 @@ activations are relative to label 0, so their column 0 is 0, and so is
 column 0 of the reverse pass's gradient for q0.
 
 Layout: inside the forward and reverse passes every per-site array is
-label-major: q, unary potentials and their gradients are (K-1, n),
-message tables are (K-1, K-1, 2E), tape arrays are (K-1, rows), the
-reverse pass returns gradients of the same shapes, and `lift_gradients`
-takes them to the full arrays through ((K-1)^2 + 2(K-1), E) ones. Table
-columns are messages in step order; `message_of` maps edges to them. With
-K small and a block step touching thousands of sites, each softmax,
+label-major: q, unary potentials and their gradients are (K-1, n), message
+tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). Table columns
+are messages in step order; `message_of` maps edges to them, and only this
+module reads it. The reverse pass sums each edge's two message gradients
+and returns (K-1, K-1, E) table gradients in edge order; `lift_gradients`
+takes its gradients to the full arrays through ((K-1)^2 + 2(K-1), E) ones.
+With K small and a block step touching thousands of sites, each softmax,
 reduction and product then runs over long contiguous rows instead of a
 short last axis. A step with at least `SPARSE_MIN_MESSAGES` messages sums
-them with one stored CSR product: `compile_schedule` keeps its pattern (the
-messages ordered stably by target, row pointers, read columns) and
+them with one stored CSR product: `compile_schedule` keeps its pattern
+(the messages ordered stably by target, row pointers, read columns) and
 `_table_inputs` fills one (K-1)B x (K-1)R operator per table set, so the
 forward builds nothing per image. Smaller steps, and the reverse pass,
 index each label row on its own with the step's `BlockStep` indices and
@@ -421,7 +422,6 @@ def run_unrolled(
     q0: np.ndarray,
     compiled: CompiledSchedule,
     tape: Optional[list] = None,
-    sweep_hook=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
     q and the last layer's activations relative to label 0 (column 0 is
@@ -436,8 +436,6 @@ def run_unrolled(
     triple M times.
     If `tape` is a list, one StepRecord per block step is appended for
     the reverse pass.
-    `sweep_hook(sweep_index, q)` is called after each sweep with an (n, K)
-    copy of q when given.
 
     Raises FloatingPointError when the final q is not finite.
     """
@@ -458,8 +456,6 @@ def run_unrolled(
                 q_k[st.verts] = q_new[k]
                 if last:
                     a_rows[k][st.verts] = a[k]
-        if sweep_hook is not None:
-            sweep_hook(m, _full(1.0 - q.sum(axis=0), q))
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
     return _full(1.0 - q.sum(axis=0), q), _full(0.0, a_final)
@@ -483,48 +479,52 @@ def backward_unrolled(
 
     Returns the gradients with respect to the reduced inputs, label-major:
     (dunary_layers, dtables_layers, gq0), a (K-1, n) unary gradient and a
-    (K-1, K-1, 2E) table gradient per layer, and the (K-1, n) gradient with
-    respect to labels 1..K-1 of q0 (label 0 is not read). `lift_gradients`
-    pulls a layer's gradients back to its (n, K) unary and (E, K, K)
-    pairwise arrays.
+    (K-1, K-1, E) table gradient per layer in edge order (each edge's two
+    message gradients summed, the one into its upper end transposed), and
+    the (K-1, n) gradient with respect to labels 1..K-1 of q0 (label 0 is
+    not read). `lift_gradients` pulls a layer's gradients back to its
+    (n, K) unary and (E, K, K) pairwise arrays.
     """
     n_layers, n_steps = len(inputs), len(compiled.steps)
     if not inputs:
         raise ValueError("the reverse pass needs at least one layer")
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    n = compiled.topology.n_vertices
+    n, (lower, upper) = compiled.topology.n_vertices, compiled.message_of
     K1 = inputs[0][0].shape[0]
     # A sweep updates every site once and sends every message once, so each
-    # entry of these is written exactly once per layer.
-    dunary = [np.empty((K1, n)) for _ in range(n_layers)]
-    dtables = [np.empty_like(tables) for _, tables, _ in inputs]
+    # entry of these is written exactly once per layer; every layer reuses
+    # dmsg, its table gradient in message order.
+    dunary, dtables = [np.empty((K1, n)) for _ in range(n_layers)], [None] * n_layers
+    dmsg = np.empty((K1, K1, 2 * compiled.topology.n_edges))
     # Column 0 of the output q is one minus the others.
     gq = np.zeros((K1, n)) if gq_final is None else np.ascontiguousarray(
         np.transpose(gq_final)[1:] - np.transpose(gq_final)[:1], dtype=np.float64)
     ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
-    for gs in range(n_layers * n_steps - 1, -1, -1):
-        m, ls = divmod(gs, n_steps)
-        st, rec = compiled.steps[ls], tape[gs]
-        g_b = gq.take(st.verts, axis=1)
-        qo = rec.q_out_km
-        dot = g_b[0] * qo[0]
-        for k in range(1, K1):
-            dot += g_b[k] * qo[k]
-        da = qo * (g_b - dot)
-        if ga is not None and m == n_layers - 1:
-            da += ga.take(st.verts, axis=1)
-        da_msg = da.take(st.pos, axis=1)
-        q_msg = rec.q_read_km.take(st.read_idx, axis=1)
-        np.multiply(da_msg[:, None], q_msg, out=dtables[m][:, :, st.msgs])
-        tab = inputs[m][1][:, :, st.msgs]
-        g_read = tab[0] * da_msg[0]
-        for k in range(1, K1):
-            g_read += tab[k] * da_msg[k]
-        for k in range(K1):
-            gq[k][st.verts] = 0.0
-            dunary[m][k][st.verts] = da[k]
-            gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
+    for m in range(n_layers - 1, -1, -1):
+        for ls in range(n_steps - 1, -1, -1):
+            st, rec = compiled.steps[ls], tape[m * n_steps + ls]
+            g_b = gq.take(st.verts, axis=1)
+            qo = rec.q_out_km
+            dot = g_b[0] * qo[0]
+            for k in range(1, K1):
+                dot += g_b[k] * qo[k]
+            da = qo * (g_b - dot)
+            if ga is not None and m == n_layers - 1:
+                da += ga.take(st.verts, axis=1)
+            da_msg = da.take(st.pos, axis=1)
+            q_msg = rec.q_read_km.take(st.read_idx, axis=1)
+            np.multiply(da_msg[:, None], q_msg, out=dmsg[:, :, st.msgs])
+            tab = inputs[m][1][:, :, st.msgs]
+            g_read = tab[0] * da_msg[0]
+            for k in range(1, K1):
+                g_read += tab[k] * da_msg[k]
+            for k in range(K1):
+                gq[k][st.verts] = 0.0
+                dunary[m][k][st.verts] = da[k]
+                gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
+        # Each edge's two oriented copies summed, the upper one transposed.
+        dtables[m] = dmsg.take(lower, axis=2) + dmsg.swapaxes(0, 1).take(upper, axis=2)
     return dunary, dtables, gq
 
 
@@ -536,16 +536,13 @@ def lift_gradients(
     (E, K, K) pairwise arrays.
 
     One label-major ((K-1)^2 + 2(K-1), E) array holds each edge's
-    reduced-table gradient (its two oriented copies summed, the upper one
-    transposed) and the unary gradients at its endpoints; `_table_map(K).T`
-    takes it to (K*K, E).
+    reduced-table gradient, the rows of the edge-ordered `dtables`, and the
+    unary gradients at its endpoints; `_table_map(K).T` takes it to (K*K, E).
     """
     K1, E = len(dunary), compiled.topology.n_edges
     WT, ends, KK = _table_map(K1 + 1).T, compiled.topology.edges.T, K1 * K1
-    lower, upper = compiled.message_of
     g = np.empty((KK + 2 * K1, E))
-    for k, l in np.ndindex(K1, K1):
-        np.add(dtables[k, l].take(lower), dtables[l, k].take(upper), out=g[k * K1 + l])
+    g[:KK] = dtables.reshape(KK, E)
     for s, k in np.ndindex(2, K1):  # one row at a time: no (2, E) temporaries
         np.take(dunary[k], ends[s], out=g[KK + s * K1 + k])
     dpair = (WT @ g).T.reshape(E, K1 + 1, K1 + 1)

@@ -69,19 +69,16 @@ def run(
     if n_iters == 0:
         return q0, ([] if track_kl else None)
     compiled = engine.compile_schedule(mrf.topology, schedule)
-    kl_trace: Optional[List[float]] = [] if track_kl else None
-    hook = None
-    if track_kl:
-        edges = mrf.topology.edges
-
-        def hook(_m, q):
-            kl_trace.append(
-                unnormalized_kl_arrays(q, mrf.unary, mrf.pairwise, edges)
-            )
-
-    inputs = engine.layer_inputs(compiled, [(mrf.unary, mrf.pairwise)]) * n_iters
-    out, _ = engine.run_unrolled(inputs, q0.probs, compiled, sweep_hook=hook)
-    return FactorialDistribution(out), kl_trace
+    layer = engine.layer_inputs(compiled, [(mrf.unary, mrf.pairwise)])
+    if not track_kl:
+        out, _ = engine.run_unrolled(layer * n_iters, q0.probs, compiled)
+        return FactorialDistribution(out), None
+    # One call per sweep, same bits: the engine reads only the rows 1..K-1 it carries.
+    q, kl_trace = q0.probs, []
+    for _ in range(n_iters):
+        q = engine.run_unrolled(layer, q, compiled)[0]
+        kl_trace.append(unnormalized_kl_arrays(q, mrf.unary, mrf.pairwise, mrf.topology.edges))
+    return FactorialDistribution(q), kl_trace
 
 
 def max_site_change(

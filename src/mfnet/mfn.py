@@ -191,7 +191,8 @@ def backward(
     either or both, pulled back to one 28-vector per parameter layer (a
     single vector when tied).
 
-    The engine's reduced gradients go straight to theta (`theta_gradient`).
+    The engine's reduced gradients (per layer a (1, n) unary and a (1, 1, E)
+    table gradient in edge order) go straight to theta (`theta_gradient`).
     A Potts table p*I reduces to the table 2p and the constant -p into
     each endpoint, so an edge's penalty gradient is twice its table
     gradient minus its endpoints' unary gradients, summed in the order
@@ -203,12 +204,9 @@ def backward(
     dunary, dtables, gq0 = engine.backward_unrolled(
         trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
-    lower, upper = trace.compiled.message_of
     lo, hi = trace.compiled.topology.edges.T
-    d_penalty = []
-    for du, dt in zip(dunary, dtables):
-        g0 = dt[0, 0].take(lower) + dt[0, 0].take(upper)
-        d_penalty.append((g0 - du[0].take(lo) - du[0].take(hi)) + g0)
+    d_penalty = [(dt[0, 0] - du[0].take(lo) - du[0].take(hi)) + dt[0, 0]
+                 for du, dt in zip(dunary, dtables)]
     # After the penalties: no table reads q0, so its fold reaches only dw.
     dunary[0] += trace.q0 * (gq0 - gq0 * trace.q0)
 

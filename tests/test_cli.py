@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfnet import cli, data
+from mfnet import cli, data, gradcheck
 from mfnet.cli import build_parser, main
 from mfnet.crf import theta0
 from mfnet.mfn import MfnParams
@@ -310,9 +310,63 @@ class TestErrors:
         self.assert_one_line_naming(code, err, manifest)
         assert "(21, 30)" in err and "(22, 30)" in err
 
+    @pytest.mark.parametrize("case", ["label shape", "pixel above maxval", "zero width",
+                                      "manifest not UTF-8", "parameters not UTF-8"])
+    def test_malformed_split_names_its_file(self, tiny_dataset, tmp_path, capsys, case):
+        entry = self.split_files(tiny_dataset / "test")[0]
+        theta, manifest = tmp_path / "theta.json", tmp_path / "manifest.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        named = manifest
+        if case == "label shape":
+            entry["label"] = str(tmp_path / "label.pgm")
+            data.write_pgm(entry["label"], np.zeros((3, 4)), 255)
+        elif case == "pixel above maxval":
+            entry["input"] = str(tmp_path / "input.pgm")
+            data.write_pgm(entry["input"], np.full((50, 100), 200), 100)
+        elif case == "zero width":
+            entry = {k: str(tmp_path / f"{k}.pgm") for k in ("input", "label")}
+            for path in entry.values():
+                data.write_pgm(path, np.zeros((50, 0)), 255)
+            named = entry["input"]
+        manifest.write_text(json.dumps({"files": [entry]}))
+        if case == "manifest not UTF-8":
+            manifest.write_bytes(b"\xff" + manifest.read_bytes())
+        elif case == "parameters not UTF-8":
+            theta.write_bytes(b"\xff" + theta.read_bytes())
+            named = theta
+        code, _, err = run_cli(capsys, "run-mf", "--params", str(theta),
+                               "--data", str(manifest), "--iters", "1")
+        self.assert_one_line_naming(code, err, named)
+        if case in ("label shape", "pixel above maxval"):
+            assert "files[0]" in err
+
+    def test_untied_model_with_another_layer_count_names_model_and_flag(
+            self, tiny_dataset, tmp_path, capsys):
+        # The 1-layer output of the README's train-mfn-inference example.
+        model = tmp_path / "mfn1.json"
+        model.write_text(json.dumps(MfnParams.tied_from(theta0()).untied_copy(1).to_json_dict()))
+        code, out, err = run_cli(capsys, "eval", "--model", str(model),
+                                 "--data", str(tiny_dataset / "test"), "--iters", "3")
+        self.assert_one_line_naming(code, err, model)
+        assert out == "" and "1 layer needs --iters 1, got 3" in err
+
+    @pytest.mark.parametrize("exc, shown", [
+        (MemoryError("Unable to allocate 7.45 GiB"),
+         "error: out of memory: Unable to allocate 7.45 GiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, exc, shown):
+        def run_grad_check(**_):
+            raise exc
+
+        monkeypatch.setattr(gradcheck, "run_grad_check", run_grad_check)
+        code, out, err = run_cli(capsys, "grad-check")
+        assert (code, out, err) == (1, "", shown)
+
     @pytest.mark.parametrize("flag, value", [
         ("--max-layers", "0"), ("--size", "0"), ("--size", "-2"), ("--tol", "-1"),
-        ("--tol", "0"), ("--tol", "nan"), ("--size", "1000000"), ("--max-layers", "11"),
+        ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"), ("--size", "1000000"),
+        ("--max-layers", "11"),
     ])
     def test_grad_check_flag_out_of_range_names_the_flag(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "grad-check", flag, value)

@@ -16,6 +16,7 @@ from mfnet.mrf import (
     PairwiseMRF,
     row_softmax,
     softmax_init,
+    unnormalized_kl,
 )
 
 POTENTIAL = st.floats(-5.0, 5.0, allow_nan=False)
@@ -70,6 +71,22 @@ def test_tied_forward_equals_mean_field(problem):
     trace = forward_mrfs([m] * len(mrfs), schedule)
     q, _ = meanfield.run(m, softmax_init(m), len(mrfs), schedule)
     np.testing.assert_array_equal(trace.q_final, q.probs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_kl_trace_reads_each_sweep_of_the_plain_run(problem):
+    """With track_kl, `meanfield.run` calls the engine once per sweep: its q
+    is the same bits as one call over every sweep, and entry i of its trace
+    is the KL of the run of i + 1 sweeps."""
+    mrfs, schedule = problem
+    m, q0 = mrfs[0], FactorialDistribution(row_softmax(mrfs[-1].unary))
+    q, trace = meanfield.run(m, q0, len(mrfs), schedule, track_kl=True)
+    plain, no_trace = meanfield.run(m, q0, len(mrfs), schedule)
+    assert no_trace is None and q.probs.tobytes() == plain.probs.tobytes()
+    assert len(trace) == len(mrfs)
+    for i, kl in enumerate(trace):
+        assert kl == unnormalized_kl(meanfield.run(m, q0, i + 1, schedule)[0], m)
 
 
 @settings(max_examples=80, deadline=None)
@@ -157,6 +174,7 @@ def test_run_unrolled_matches_site_updates(problem):
 @pytest.mark.parametrize("prop", [
     test_rows_are_finite_distributions,
     test_tied_forward_equals_mean_field,
+    test_kl_trace_reads_each_sweep_of_the_plain_run,
     test_replay_equals_forward,
     test_backward_matches_finite_differences,
     test_run_unrolled_matches_site_updates,
