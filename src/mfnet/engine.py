@@ -38,10 +38,16 @@ them with one stored CSR product: `compile_schedule` keeps its pattern
 (the messages ordered stably by target, row pointers, read columns) and
 `_table_inputs` fills one (K-1)B x (K-1)R operator per table set, so the
 forward builds nothing per image. Smaller steps, and the reverse pass,
-index each label row on its own with the step's `BlockStep` indices and
-the topology's edge list: one `bincount` and one 1-D indexed write per
-row. Both forward kernels sum each target's messages from 0 in message
-order, so at K = 2 they agree bit for bit.
+sum each label row's messages with one `bincount` over the step's
+`BlockStep` indices. Both forward kernels sum each target's messages from
+0 in message order, so at K = 2 they agree bit for bit.
+
+Inside both passes the per-site arrays are in step order, the multicolour
+ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
+order the steps update them, so a step's own sites are one slice of q,
+the unary and their gradients, and only its read sites are gathered. The
+passes permute their inputs into step order on entry and their outputs
+back, so callers see site order.
 """
 from __future__ import annotations
 
@@ -130,24 +136,27 @@ def validate_schedule(topology: GraphTopology, schedule: Schedule) -> np.ndarray
 class BlockStep:
     """One dependency level of a sweep and the directed messages into it.
 
-    `verts` holds the sites of every schedule block on the level, in
-    schedule order; no edge joins two of those blocks, and all sites of the
-    step read the q values from before it.
+    `verts` holds the original ids of the sites of every schedule block on
+    the level, in schedule order; no edge joins two of those blocks, and all
+    sites of the step read the q values from before it. In the passes' step
+    order those sites are the range `sites`, block position b at
+    `sites.start + b`.
 
     Every edge carries one message into each endpoint. Message d of this step
-    reads site `reads[read_idx[d]]` through oriented table
+    reads site `reads[read_idx[d]]` (in step order) through oriented table
     `[:, :, msgs.start + d]` of the `layer_inputs` tables and adds into block
     position `pos[d]`.
     """
 
-    verts: np.ndarray     # (B,) vertices updated in this step
+    verts: np.ndarray     # (B,) original ids of the sites updated in this step
+    sites: slice          # the same sites, in step order
     # Edges whose lower / upper endpoint is updated here; the kernels use the
     # message fields below, perfbench/layers.py counts messages from these.
     e_lo: np.ndarray
     e_hi: np.ndarray
     msgs: slice           # this step's messages, in compiled message order
     pos: np.ndarray       # (M,) block position each message adds into
-    reads: np.ndarray     # (R,) distinct sites the messages read
+    reads: np.ndarray     # (R,) distinct sites the messages read, in step order
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
     # With at least SPARSE_MIN_MESSAGES messages, the CSR pattern of their sum
     # over block positions: (message order, row pointers, columns), else None.
@@ -186,6 +195,10 @@ class CompiledSchedule:
     # (2, E) the one map between edges and messages: the position, in step
     # order, of the message into the lower (row 0) / upper (row 1) end of edge e.
     message_of: np.ndarray
+    # (n,) the sites in step order, as the passes number them, and (n,) the
+    # inverse: the position of each site in that order.
+    order: np.ndarray
+    rank: np.ndarray
     _table_inputs: dict = field(default_factory=dict, repr=False)
 
 
@@ -221,8 +234,8 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     verts = seen[np.argsort(step_of[seen], kind="stable")]
     counts = np.bincount(step_of, minlength=n_steps)
     v_start = np.concatenate([[0], np.cumsum(counts)])
-    pos_of = np.empty(n, dtype=np.int64)
-    pos_of[verts] = np.arange(n) - np.repeat(v_start[:-1], counts)
+    rank = np.empty(n, dtype=np.int64)
+    rank[verts] = np.arange(n)
 
     # All 2E messages, grouped by the step that writes their target; the
     # stable sort keeps the messages into lower endpoints first in each step.
@@ -233,11 +246,11 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     m_start = np.searchsorted(m_step, np.arange(n_steps + 1))
     m_mid = m_start[:-1] + np.bincount(step_of[lo], minlength=n_steps)
     edge = np.where(order < E, order, order - E)
-    pos = pos_of[target[order]]
+    pos = rank[target[order]] - v_start[m_step]
     # Distinct read sites per step, from one sort of (step, read site) keys.
     keys, inverse = np.unique(m_step * n + read[order], return_inverse=True)
     r_start = np.searchsorted(keys // n, np.arange(n_steps + 1))
-    reads = keys % n
+    reads = rank[keys % n]
     read_idx = inverse.reshape(-1) - r_start[m_step]
 
     v_start, m_start, m_mid, r_start = (
@@ -246,6 +259,7 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     steps = tuple(
         BlockStep(
             verts=verts[v_start[i] : v_start[i + 1]],
+            sites=slice(v_start[i], v_start[i + 1]),
             e_lo=edge[m_start[i] : m_mid[i]],
             e_hi=edge[m_mid[i] : m_start[i + 1]],
             msgs=slice(m_start[i], m_start[i + 1]),
@@ -257,7 +271,9 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         )
         for i in range(n_steps)
     )
-    return CompiledSchedule(topology, steps, message_of=np.argsort(order).reshape(2, E))
+    for a in (verts, rank):
+        a.flags.writeable = False
+    return CompiledSchedule(topology, steps, np.argsort(order).reshape(2, E), verts, rank)
 
 
 @lru_cache(maxsize=None)
@@ -361,24 +377,24 @@ def block_activations(
     q_read: np.ndarray,
     op: Optional[csr_array] = None,
 ) -> np.ndarray:
-    """Reduced activations (K-1, B) for the block's sites, given its layer's
-    `layer_inputs` unary (K-1, n), tables and step operator `op`, and the
-    reduced q columns of the step's read sites, (K-1, R). With an operator
-    the message sums are one product with the flattened q columns; without,
-    each label row sums its messages into the block with one `bincount`
-    over `st.pos`."""
-    a = unary.take(st.verts, axis=1)
+    """Reduced activations (K-1, B) for the block's sites, given their rows
+    of its layer's `layer_inputs` unary, (K-1, B), the layer's tables and
+    step operator `op`, and the reduced q columns of the step's read sites,
+    (K-1, R). With an operator the message sums are one product with the
+    flattened q columns; without, each label row sums its messages into the
+    block with one `bincount` over `st.pos`. Either way each activation is
+    the unary plus its message sum, one addition."""
     if op is not None:
-        a += (op @ q_read.reshape(-1)).reshape(a.shape)
-        return a
+        return unary + (op @ q_read.reshape(-1)).reshape(unary.shape)
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
     # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
     # a 9,850-message step).
     msg = tab[:, 0] * q_msg[0]
     for l in range(1, len(q_msg)):
         msg += tab[:, l] * q_msg[l]
+    a = np.empty(unary.shape)
     for k in range(len(a)):
-        a[k] += np.bincount(st.pos, msg[k], minlength=st.verts.size)
+        np.add(unary[k], np.bincount(st.pos, msg[k], minlength=a.shape[1]), out=a[k])
     return a
 
 
@@ -439,25 +455,27 @@ def run_unrolled(
 
     Raises FloatingPointError when the final q is not finite.
     """
-    q = np.array(np.transpose(q0)[1:], dtype=np.float64, order="C")
+    order = compiled.order
+    q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(order, axis=1)
     a_final = np.zeros_like(q)
-    q_rows, a_rows = list(q), list(a_final)  # row views, made once
+    in_order: dict = {}  # each distinct unary, in step order
     for m, (unary, tables, ops) in enumerate(layers):
-        last = m == len(layers) - 1
+        if id(unary) not in in_order:
+            in_order[id(unary)] = unary.take(order, axis=1)
+        unary, last = in_order[id(unary)], m == len(layers) - 1
         for st, op in zip(compiled.steps, ops):
             # `take` copies, so the tape can keep this read as it is.
             q_read = q.take(st.reads, axis=1)
-            a = block_activations(unary, tables, st, q_read, op)
+            a = block_activations(unary[:, st.sites], tables, st, q_read, op)
             q_new = reduced_softmax(a)
             if tape is not None:
                 tape.append(StepRecord(q_read, q_new))
-            # 1-D indexed writes per label row: 2-D fancy writes and `put` are 2-3x slower.
-            for k, q_k in enumerate(q_rows):
-                q_k[st.verts] = q_new[k]
-                if last:
-                    a_rows[k][st.verts] = a[k]
+            q[:, st.sites] = q_new
+            if last:
+                a_final[:, st.sites] = a
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
+    q, a_final = q.take(compiled.rank, axis=1), a_final.take(compiled.rank, axis=1)
     return _full(1.0 - q.sum(axis=0), q), _full(0.0, a_final)
 
 
@@ -491,27 +509,26 @@ def backward_unrolled(
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
     n, (lower, upper) = compiled.topology.n_vertices, compiled.message_of
-    K1 = inputs[0][0].shape[0]
+    order, K1 = compiled.order, inputs[0][0].shape[0]
     # A sweep updates every site once and sends every message once, so each
     # entry of these is written exactly once per layer; every layer reuses
     # dmsg, its table gradient in message order.
     dunary, dtables = [np.empty((K1, n)) for _ in range(n_layers)], [None] * n_layers
     dmsg = np.empty((K1, K1, 2 * compiled.topology.n_edges))
     # Column 0 of the output q is one minus the others.
-    gq = np.zeros((K1, n)) if gq_final is None else np.ascontiguousarray(
-        np.transpose(gq_final)[1:] - np.transpose(gq_final)[:1], dtype=np.float64)
-    ga = np.ascontiguousarray(np.transpose(ga_final)[1:]) if ga_final is not None else None
+    g = None if gq_final is None else np.transpose(np.asarray(gq_final, dtype=np.float64))
+    gq = np.zeros((K1, n)) if g is None else (g[1:] - g[:1]).take(order, axis=1)
+    ga = np.transpose(ga_final)[1:].take(order, axis=1) if ga_final is not None else None
     for m in range(n_layers - 1, -1, -1):
         for ls in range(n_steps - 1, -1, -1):
             st, rec = compiled.steps[ls], tape[m * n_steps + ls]
-            g_b = gq.take(st.verts, axis=1)
-            qo = rec.q_out_km
+            g_b, qo = gq[:, st.sites], rec.q_out_km
             dot = g_b[0] * qo[0]
             for k in range(1, K1):
                 dot += g_b[k] * qo[k]
             da = qo * (g_b - dot)
             if ga is not None and m == n_layers - 1:
-                da += ga.take(st.verts, axis=1)
+                da += ga[:, st.sites]
             da_msg = da.take(st.pos, axis=1)
             q_msg = rec.q_read_km.take(st.read_idx, axis=1)
             np.multiply(da_msg[:, None], q_msg, out=dmsg[:, :, st.msgs])
@@ -519,13 +536,14 @@ def backward_unrolled(
             g_read = tab[0] * da_msg[0]
             for k in range(1, K1):
                 g_read += tab[k] * da_msg[k]
+            gq[:, st.sites] = 0.0
+            dunary[m][:, st.sites] = da
             for k in range(K1):
-                gq[k][st.verts] = 0.0
-                dunary[m][k][st.verts] = da[k]
                 gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
         # Each edge's two oriented copies summed, the upper one transposed.
         dtables[m] = dmsg.take(lower, axis=2) + dmsg.swapaxes(0, 1).take(upper, axis=2)
-    return dunary, dtables, gq
+    rank = compiled.rank
+    return [du.take(rank, axis=1) for du in dunary], dtables, gq.take(rank, axis=1)
 
 
 def lift_gradients(

@@ -40,8 +40,9 @@ def replay(trace):
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))
         unary, tables, ops = trace.inputs[m]
-        a = engine.block_activations(unary, tables, steps[ls], rec.q_read_km, ops[ls])
-        q[:, steps[ls].verts] = engine.reduced_softmax(a)
+        verts = steps[ls].verts
+        a = engine.block_activations(unary[:, verts], tables, steps[ls], rec.q_read_km, ops[ls])
+        q[:, verts] = engine.reduced_softmax(a)
     return np.hstack([1.0 - q.sum(axis=0)[:, None], q.T])
 
 

@@ -433,3 +433,64 @@ def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):
     fresh = run(pairwise.copy())
     assert not np.array_equal(before, after)
     np.testing.assert_array_equal(after, fresh)
+
+
+def _check_step_order(compiled):
+    """The passes' site numbering: the stored order is a permutation whose
+    inverse is `rank`, the steps' slices tile it in step order and hold
+    their own `verts`, and each step's reads, mapped back, are the distinct
+    neighbours its messages read, in original ids."""
+    topo = compiled.topology
+    n, order = topo.n_vertices, compiled.order
+    np.testing.assert_array_equal(np.sort(order), np.arange(n))
+    np.testing.assert_array_equal(compiled.rank[order], np.arange(n))
+    assert [st.sites.start for st in compiled.steps] == [0] + [
+        st.sites.stop for st in compiled.steps[:-1]]
+    assert compiled.steps[-1].sites.stop == n
+    for st in compiled.steps:
+        assert st.sites.step is None
+        np.testing.assert_array_equal(order[st.sites], st.verts)
+        into = np.isin(topo.edges, st.verts)
+        read = np.concatenate([topo.edges[into[:, 0], 1], topo.edges[into[:, 1], 0]])
+        np.testing.assert_array_equal(order[st.reads], np.unique(read))
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_sites_are_numbered_in_step_order(problem):
+    mrfs, schedule = problem
+    _check_step_order(engine.compile_schedule(mrfs[0].topology, schedule))
+
+
+@pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
+def test_grid_sites_are_numbered_in_step_order(schedule_name):
+    schedule = (engine.checkerboard_schedule(50, 100) if schedule_name == "checkerboard"
+                else engine.raster_schedule(5000))
+    _check_step_order(engine.compile_schedule(grid_graph(50, 100), schedule))
+
+
+@pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
+def test_step_fields_the_benchmark_reads(schedule_name, monkeypatch):
+    """A taped `mfn.forward` calls `engine.block_activations` once per
+    StepRecord, through the module attribute; the steps' `verts` count
+    every site once and their `e_lo` and `e_hi` every message once."""
+    from mfnet.mfn import MfnParams, forward
+    from mfnet.crf import theta0
+
+    h, w = 7, 9
+    schedule = (engine.checkerboard_schedule(h, w) if schedule_name == "checkerboard"
+                else engine.raster_schedule(h * w))
+    calls = []
+    inner = engine.block_activations
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "block_activations", counted)
+    params = MfnParams.tied_from(theta0()).untied_copy(3)
+    trace = forward(np.random.default_rng(3).random((h, w)), params, 3, schedule)
+    assert len(calls) == len(trace.tape) == 3 * len(trace.compiled.steps)
+    steps, topo = trace.compiled.steps, trace.compiled.topology
+    assert sum(st.verts.size for st in steps) == topo.n_vertices
+    assert sum(st.e_lo.size + st.e_hi.size for st in steps) == 2 * topo.n_edges
