@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_grid_mrf, replay
 from mfnet import engine, meanfield
-from mfnet.crf import grid_graph
+from mfnet.crf import grid_graph, theta0
 from mfnet.engine import BlockParallel, Sequential
-from mfnet.mfn import forward_mrfs
+from mfnet.mfn import MfnParams, forward, forward_mrfs
 from mfnet.mrf import (
     FactorialDistribution,
     GraphTopology,
@@ -474,9 +474,6 @@ def test_step_fields_the_benchmark_reads(schedule_name, monkeypatch):
     """A taped `mfn.forward` calls `engine.block_activations` once per
     StepRecord, through the module attribute; the steps' `verts` count
     every site once and their `e_lo` and `e_hi` every message once."""
-    from mfnet.mfn import MfnParams, forward
-    from mfnet.crf import theta0
-
     h, w = 7, 9
     schedule = (engine.checkerboard_schedule(h, w) if schedule_name == "checkerboard"
                 else engine.raster_schedule(h * w))
