@@ -159,7 +159,7 @@ def _read_params(path, parse, expected):
     wrong type is reported with the file and the `expected` format."""
     try:
         d = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")

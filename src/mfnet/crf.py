@@ -135,12 +135,7 @@ def theta_gradient(y: np.ndarray, d_unary1: np.ndarray, d_penalty: np.ndarray) -
     return np.concatenate([dw, [d_penalty[:n_h].sum(), d_penalty[n_h:].sum()]])
 
 
-def cl_gradient(
-    y: np.ndarray,
-    x_hat: np.ndarray,
-    q: FactorialDistribution,
-    theta: CrfParams,
-) -> np.ndarray:
+def cl_gradient(y: np.ndarray, x_hat: np.ndarray, q: FactorialDistribution) -> np.ndarray:
     """Approximate conditional log-likelihood gradient, as a 28-vector.
 
     Model expectations use the factorial q in place of true marginals;
@@ -201,7 +196,7 @@ def train_baseline(
         total = 0
         for y, x_hat in images:
             q = mf_marginals(y, theta, mf_iters, schedule)
-            grad += cl_gradient(y, x_hat, q, theta)
+            grad += cl_gradient(y, x_hat, q)
             correct += int(np.sum(np.argmax(q.probs, axis=1) == x_hat))
             total += x_hat.size
         # Ascent on the likelihood is descent on its negation, without momentum.

@@ -175,7 +175,6 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM")
     if not all(f.isdigit() for f in fields[1:]):
@@ -185,6 +184,9 @@ def read_pgm(path) -> Tuple[np.ndarray, int]:
         raise ValueError(f"{path}: PGM width and height must be positive, got {width}x{height}")
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: PGM maxval {maxval} is outside 1..65535")
+    if pos == len(raw):
+        raise ValueError(f"{path}: PGM header must end with one whitespace byte after maxval")
+    pos += 1  # the single whitespace byte after maxval
     dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
     expected = width * height * dtype.itemsize
     if len(raw) - pos != expected:
@@ -217,7 +219,7 @@ def load_split(manifest_path) -> List[LabeledImage]:
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
         raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")

@@ -27,20 +27,21 @@ column 0 of the reverse pass's gradient for q0.
 Layout: inside the forward and reverse passes every per-site array is
 label-major: q, unary potentials and their gradients are (K-1, n), message
 tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). Table columns
-are messages in step order; `message_of` maps edges to them, and only this
-module reads it. The reverse pass sums each edge's two message gradients
-and returns (K-1, K-1, E) table gradients in edge order; `lift_gradients`
-takes its gradients to the full arrays through ((K-1)^2 + 2(K-1), E) ones.
-With K small and a block step touching thousands of sites, each softmax,
-reduction and product then runs over long contiguous rows instead of a
-short last axis. A step with at least `SPARSE_MIN_MESSAGES` messages sums
-them with one stored CSR product: `compile_schedule` keeps its pattern
-(the messages ordered stably by target, row pointers, read columns) and
-`_table_inputs` fills one (K-1)B x (K-1)R operator per table set, so the
-forward builds nothing per image. Smaller steps, and the reverse pass,
-sum each label row's messages with one `bincount` over the step's
-`BlockStep` indices. Both forward kernels sum each target's messages from
-0 in message order, so at K = 2 they agree bit for bit.
+are messages in step order, and inside a step sorted stably by target,
+the compressed-sparse-row order; `message_of` maps edges to them, and
+only this module reads it. The reverse pass sums each edge's two message
+gradients and returns (K-1, K-1, E) table gradients in edge order;
+`lift_gradients` takes its gradients to the full arrays through
+((K-1)^2 + 2(K-1), E) ones. With K small and a block step touching
+thousands of sites, each softmax, reduction and product then runs over
+long contiguous rows instead of a short last axis. A step with at least
+`SPARSE_MIN_MESSAGES` messages sums them with one stored CSR product:
+`_table_inputs` builds one (K-1)B x (K-1)R operator per table set from
+the step's row pointers (its `pos` counts), columns (`read_idx`) and
+table slice, so the forward builds nothing per image. Smaller steps, and
+the reverse pass, sum each label row's messages with one `bincount` over
+the step's `BlockStep` indices. Both forward kernels sum each target's
+messages from 0 in message order, so at K = 2 they agree bit for bit.
 
 Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
@@ -145,47 +146,30 @@ class BlockStep:
     Every edge carries one message into each endpoint. Message d of this step
     reads site `reads[read_idx[d]]` (in step order) through oriented table
     `[:, :, msgs.start + d]` of the `layer_inputs` tables and adds into block
-    position `pos[d]`.
+    position `pos[d]`. `pos` is non-decreasing, so the messages are in CSR
+    order: `pos` gives the row pointers and `read_idx` the columns.
     """
 
     verts: np.ndarray     # (B,) original ids of the sites updated in this step
     sites: slice          # the same sites, in step order
-    # Edges whose lower / upper endpoint is updated here; the kernels use the
-    # message fields below, perfbench/layers.py counts messages from these.
+    # Edges whose lower / upper endpoint is updated here, in message order;
+    # the kernels use the message fields below, perfbench/layers.py counts
+    # messages from these.
     e_lo: np.ndarray
     e_hi: np.ndarray
     msgs: slice           # this step's messages, in compiled message order
-    pos: np.ndarray       # (M,) block position each message adds into
+    pos: np.ndarray       # (M,) block position each message adds into, ascending
     reads: np.ndarray     # (R,) distinct sites the messages read, in step order
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
-    # With at least SPARSE_MIN_MESSAGES messages, the CSR pattern of their sum
-    # over block positions: (message order, row pointers, columns), else None.
-    csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
-# A step's message sum runs as one stored CSR product from this many messages
+# `_table_inputs` stores a step's message sum as one CSR product, built from
+# the step's own fields and its slice of the tables, from this many messages
 # up. Per call (K = 2, 2-core Xeon guest) the two kernels break even at
 # 400-700 messages; a 9,850-message checkerboard step takes 15 instead of
-# 35 us. Below that the product's call overhead and its 16-25 us build per
-# table set lose; raster steps on a 50x100 grid have at most 200 messages.
+# 35 us. Below that the product's call overhead and its build per table set
+# lose; raster steps on a 50x100 grid have at most 200 messages.
 SPARSE_MIN_MESSAGES = 400
-
-
-def _csr_pattern(pos: np.ndarray, read_idx: np.ndarray, lo: int, hi: int, n_rows: int):
-    """The CSR pattern of the sum of compiled messages lo..hi-1 into the
-    n_rows block positions of their step, None for fewer than
-    SPARSE_MIN_MESSAGES: the messages ordered stably by block position, so
-    each target keeps its message order; the row pointers of that order;
-    and its read columns. Read-only: every operator of the step shares them."""
-    if hi - lo < SPARSE_MIN_MESSAGES:
-        return None
-    order = lo + np.argsort(pos[lo:hi], kind="stable")
-    indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(np.bincount(pos[lo:hi], minlength=n_rows), out=indptr[1:])
-    pattern = order, indptr, read_idx[order].astype(np.int32)
-    for a in pattern:
-        a.flags.writeable = False
-    return pattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,15 +221,14 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     rank = np.empty(n, dtype=np.int64)
     rank[verts] = np.arange(n)
 
-    # All 2E messages, grouped by the step that writes their target; the
-    # stable sort keeps the messages into lower endpoints first in each step.
+    # All 2E messages, sorted stably by the step-order rank of their target:
+    # grouped by step, and in CSR order over each step's block positions.
+    # Each target keeps its messages into lower endpoints first, in edge order.
     lo, hi = topology.edges[:, 0], topology.edges[:, 1]
     target, read = np.concatenate([lo, hi]), np.concatenate([hi, lo])
-    order = np.argsort(step_of[target], kind="stable")
+    order = np.argsort(rank[target], kind="stable")
     m_step = step_of[target[order]]
     m_start = np.searchsorted(m_step, np.arange(n_steps + 1))
-    m_mid = m_start[:-1] + np.bincount(step_of[lo], minlength=n_steps)
-    edge = np.where(order < E, order, order - E)
     pos = rank[target[order]] - v_start[m_step]
     # Distinct read sites per step, from one sort of (step, read site) keys.
     keys, inverse = np.unique(m_step * n + read[order], return_inverse=True)
@@ -253,23 +236,19 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
     reads = rank[keys % n]
     read_idx = inverse.reshape(-1) - r_start[m_step]
 
-    v_start, m_start, m_mid, r_start = (
-        a.tolist() for a in (v_start, m_start, m_mid, r_start)
-    )
+    v_start, m_start, r_start = (a.tolist() for a in (v_start, m_start, r_start))
     steps = tuple(
         BlockStep(
             verts=verts[v_start[i] : v_start[i + 1]],
             sites=slice(v_start[i], v_start[i + 1]),
-            e_lo=edge[m_start[i] : m_mid[i]],
-            e_hi=edge[m_mid[i] : m_start[i + 1]],
-            msgs=slice(m_start[i], m_start[i + 1]),
-            pos=pos[m_start[i] : m_start[i + 1]],
+            e_lo=order[m][order[m] < E],
+            e_hi=order[m][order[m] >= E] - E,
+            msgs=m,
+            pos=pos[m],
             reads=reads[r_start[i] : r_start[i + 1]],
-            read_idx=read_idx[m_start[i] : m_start[i + 1]],
-            csr=_csr_pattern(pos, read_idx, m_start[i], m_start[i + 1],
-                             v_start[i + 1] - v_start[i]),
+            read_idx=read_idx[m],
         )
-        for i in range(n_steps)
+        for i, m in enumerate(map(slice, m_start[:-1], m_start[1:]))
     )
     for a in (verts, rank):
         a.flags.writeable = False
@@ -292,29 +271,34 @@ TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
 def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
-    """The message sum of a step with a CSR pattern, as a (K-1)B x (K-1)R
-    matrix on label-major flattened q columns: row k*B + b holds, message by
-    message in the pattern's order and then by read label l, the table
-    entries T'[k, l] of every message into block position b."""
+    """The message sum of a step, as a (K-1)B x (K-1)R matrix on label-major
+    flattened q columns: row k*B + b holds, message by message in step
+    order and then by read label l, the table entries T'[k, l] of every
+    message into block position b. The step's messages are sorted by `pos`,
+    so `pos` counts give the row pointers, `read_idx` the columns and its
+    table slice the data: at K = 2 a view of the tables, which scipy keeps
+    when the step holds at least half the messages (each checkerboard step)."""
     # Imported here: a run whose steps are all small never loads scipy.sparse.
     from scipy.sparse import csr_array
 
-    order, indptr, cols = st.csr
-    K1, M = len(tables), len(order)
-    data = tables.take(order, axis=2).swapaxes(1, 2).reshape(-1)
+    K1, B, M = len(tables), st.sites.stop - st.sites.start, st.pos.size
+    indptr = np.zeros(B + 1, dtype=np.int32)
+    np.cumsum(np.bincount(st.pos, minlength=B), out=indptr[1:])
+    cols = st.read_idx.astype(np.int32)
+    data = tables[:, :, st.msgs].swapaxes(1, 2).reshape(-1)
     if K1 > 1:
         cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
         ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
         indptr = np.concatenate([indptr[:1], ends.ravel()])
-    return csr_array((data, cols, indptr), shape=(K1 * st.verts.size, K1 * st.reads.size))
+    return csr_array((data, cols, indptr), shape=(K1 * B, K1 * st.reads.size))
 
 
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     """The image-free part of `layer_inputs`: message constants summed into
     their targets (K-1, n), the reduced tables, and each step's operator
-    (`_step_operator`, None for steps without a CSR pattern). Stored for
-    read-only arrays that own their data, holding each so its id is not
-    reused; others are rebuilt."""
+    (`_step_operator`, None for steps with fewer than SPARSE_MIN_MESSAGES
+    messages). Stored for read-only arrays that own their data, holding
+    each so its id is not reused; others are rebuilt."""
     store, key = compiled._table_inputs, id(pairwise)
     frozen = not pairwise.flags.writeable and pairwise.base is None
     if frozen and key in store:
@@ -332,7 +316,8 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     R = parts[: K1 * K1].reshape(K1, K1, E)
     tables = np.empty((K1, K1, 2 * E))
     tables[:, :, compiled.message_of.ravel()] = np.concatenate([R, R.swapaxes(0, 1)], axis=2)
-    ops = tuple(None if st.csr is None else _step_operator(st, tables) for st in compiled.steps)
+    ops = tuple(_step_operator(st, tables) if st.pos.size >= SPARSE_MIN_MESSAGES else None
+                for st in compiled.steps)
     out = const, tables, ops
     if frozen:
         for a in (const, tables):

@@ -280,6 +280,21 @@ class TestErrors:
         self.assert_one_line_naming(code, err, files[flag])
         assert "malformed JSON" in err
 
+    @pytest.mark.parametrize("command, flag", [("run-mf", "--params"), ("eval", "--model"),
+                                               ("run-mf", "--data")])
+    def test_deeply_nested_json_names_the_file(self, tiny_dataset, tmp_path, capsys, command,
+                                               flag):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)  # deeper than the decoder's recursion limit
+        files = {"--params": tmp_path / "theta.json", "--data": tiny_dataset / "test"}
+        files["--params"].write_text(json.dumps(theta0().to_json_dict()))
+        files[flag] = nested
+        other = "--params" if flag == "--data" else "--data"
+        code, _, err = run_cli(capsys, command, flag, str(nested), other, str(files[other]),
+                               "--iters", "1")
+        self.assert_one_line_naming(code, err, nested)
+        assert "malformed JSON" in err
+
     @staticmethod
     def split_files(split):
         """The manifest entries of a split directory, with absolute paths."""

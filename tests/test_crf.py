@@ -158,13 +158,13 @@ class TestClGradient:
         y = rng.random((4, 4))
         x_hat = rng.integers(0, 2, 16)
         q = FactorialDistribution(np.stack([1.0 - x_hat, x_hat * 1.0], axis=1))
-        g = cl_gradient(y, x_hat, q, theta0())
+        g = cl_gradient(y, x_hat, q)
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_no_edges_no_potts_gradient(self):
         y = np.array([[0.3]])
         q = FactorialDistribution(np.array([[0.4, 0.6]]))
-        g = cl_gradient(y, np.array([1]), q, theta0())
+        g = cl_gradient(y, np.array([1]), q)
         assert g[26] == 0.0 and g[27] == 0.0
         np.testing.assert_allclose(g[:26], extract_features(y, 0) * (1 - 0.6), atol=1e-12)
 
@@ -182,7 +182,7 @@ class TestClGradient:
 
         m = build_mrf(y, theta)
         unary_m, _ = brute_force_marginals(m)
-        g = cl_gradient(y, x_hat, FactorialDistribution(unary_m), theta)
+        g = cl_gradient(y, x_hat, FactorialDistribution(unary_m))
         vec = theta.to_vector()
         h = 1e-5
         for i in range(26):
@@ -198,12 +198,12 @@ class TestClGradient:
         x_hat = rng.integers(0, 2, (4, 5))
         q_raw = rng.random((20, 2)) + 0.1
         q = FactorialDistribution(q_raw / q_raw.sum(1, keepdims=True))
-        g = cl_gradient(y, x_hat.ravel(), q, theta0())
+        g = cl_gradient(y, x_hat.ravel(), q)
         # reverse the row order of everything consistently
         y2 = y[::-1].copy()
         x2 = x_hat[::-1].copy()
         q2 = FactorialDistribution(q.probs.reshape(4, 5, 2)[::-1].reshape(20, 2).copy())
-        g2 = cl_gradient(y2, x2.ravel(), q2, theta0())
+        g2 = cl_gradient(y2, x2.ravel(), q2)
         np.testing.assert_allclose(g[26:], g2[26:], atol=1e-10)
 
 
@@ -229,7 +229,7 @@ class TestTrainBaseline:
         total = np.zeros(28)
         for y, x in pairs:
             q = crf.mf_marginals(y, theta0(), 30, sched)
-            total += cl_gradient(y, x.ravel(), q, theta0())
+            total += cl_gradient(y, x.ravel(), q)
         lr = 1e-5
         th = train_baseline(pairs, theta0(), steps=1, learning_rate=lr, schedule=sched)
         np.testing.assert_allclose(

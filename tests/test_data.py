@@ -120,6 +120,16 @@ class TestPgmIo:
             read_pgm(path)
         assert str(err.value).startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("raw", [b"P5 10 10 255", b"P5\n3 2\n255"])
+    def test_header_ending_at_maxval_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError) as err:
+            read_pgm(path)
+        assert str(err.value) == (
+            f"{path}: PGM header must end with one whitespace byte after maxval"
+        )
+
     @pytest.mark.parametrize("maxval", [0, 65536])
     def test_maxval_out_of_range_names_the_file(self, tmp_path, maxval):
         path = tmp_path / "bad.pgm"

@@ -1,4 +1,6 @@
 """Property tests of the shared engine over random graphs, label counts and schedules."""
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,13 +371,14 @@ def _read_only_view(a):
     return view
 
 
-def _compile_with_operators(topology, schedule):
-    """A compiled schedule, outside the compile cache, that gives every
-    step a CSR pattern and so an operator per table set."""
+@contextmanager
+def _operators_on_every_step():
+    """While open, `layer_inputs` builds an operator for every step. (Not the
+    monkeypatch fixture: Hypothesis runs a test's examples in one fixture scope.)"""
     saved = engine.SPARSE_MIN_MESSAGES
     engine.SPARSE_MIN_MESSAGES = 0
     try:
-        return engine.compile_schedule.__wrapped__(topology, schedule)
+        yield
     finally:
         engine.SPARSE_MIN_MESSAGES = saved
 
@@ -384,13 +387,15 @@ def _compile_with_operators(topology, schedule):
 @given(problems())
 def test_stored_table_inputs_equal_fresh_ones(problem):
     mrfs, schedule = problem
-    compiled = _compile_with_operators(mrfs[0].topology, schedule)
+    # Outside the compile cache, so the table store starts empty.
+    compiled = engine.compile_schedule.__wrapped__(mrfs[0].topology, schedule)
     frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
-    first = engine.layer_inputs(compiled, frozen)
-    again = engine.layer_inputs(compiled, frozen)  # served from the store
-    fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
     views = [(u, _read_only_view(p)) for u, p in frozen]
-    rebuilt = [engine.layer_inputs(compiled, views) for _ in range(2)]
+    with _operators_on_every_step():
+        first = engine.layer_inputs(compiled, frozen)
+        again = engine.layer_inputs(compiled, frozen)  # served from the store
+        fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
+        rebuilt = [engine.layer_inputs(compiled, views) for _ in range(2)]
     for (u1, t1, o1), (u2, t2, o2), (u3, t3, o3), *built in zip(first, again, fresh, *rebuilt):
         assert t2 is t1 and not t1.flags.writeable and o2 is o1
         np.testing.assert_array_equal(u2, u3)
@@ -467,6 +472,52 @@ def test_grid_sites_are_numbered_in_step_order(schedule_name):
     schedule = (engine.checkerboard_schedule(50, 100) if schedule_name == "checkerboard"
                 else engine.raster_schedule(5000))
     _check_step_order(engine.compile_schedule(grid_graph(50, 100), schedule))
+
+
+def _check_message_order(compiled):
+    """The one message order: grouped by step and, inside a step, sorted
+    stably by target, so `pos` is non-decreasing and each target reads its
+    messages into lower endpoints first, in edge order, then those into
+    upper endpoints; each message's target and read site agree with its
+    edge. At K = 2 a step's operator data is its table slice, a view of it
+    when the step holds at least half the messages, as each checkerboard
+    step does (scipy copies a view of less than half its base)."""
+    topo = compiled.topology
+    E, (lo, hi) = topo.n_edges, topo.edges.T
+    np.testing.assert_array_equal(np.sort(compiled.message_of.ravel()), np.arange(2 * E))
+    source = np.argsort(compiled.message_of.ravel())  # e, or E + e for the upper end
+    target, read = np.concatenate([lo, hi])[source], np.concatenate([hi, lo])[source]
+    layer = np.zeros((topo.n_vertices, 2)), np.arange(4.0 * E).reshape(E, 2, 2)
+    with _operators_on_every_step():
+        ((_, tables, ops),) = engine.layer_inputs(compiled, [layer])
+    for st, op in zip(compiled.steps, ops):
+        pos, m = st.pos, source[st.msgs]
+        assert np.all(np.diff(pos) >= 0)
+        assert np.all((np.diff(pos) > 0) | (np.diff(m) > 0))
+        np.testing.assert_array_equal(compiled.rank[target[st.msgs]], st.sites.start + pos)
+        np.testing.assert_array_equal(st.reads[st.read_idx], compiled.rank[read[st.msgs]])
+        mine = np.isin(topo.edges, st.verts)
+        np.testing.assert_array_equal(np.sort(st.e_lo), np.flatnonzero(mine[:, 0]))
+        np.testing.assert_array_equal(np.sort(st.e_hi), np.flatnonzero(mine[:, 1]))
+        assert op.data.tobytes() == tables[:, :, st.msgs].tobytes()
+        assert np.shares_memory(op.data, tables) == (pos.size > 0 and pos.size >= E)
+
+
+@settings(max_examples=80, deadline=None)
+@given(problems())
+def test_messages_are_sorted_by_target_in_each_step(problem):
+    mrfs, schedule = problem
+    _check_message_order(engine.compile_schedule(mrfs[0].topology, schedule))
+
+
+@pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
+def test_grid_messages_are_sorted_by_target_in_each_step(schedule_name):
+    schedule = (engine.checkerboard_schedule(50, 100) if schedule_name == "checkerboard"
+                else engine.raster_schedule(5000))
+    compiled = engine.compile_schedule(grid_graph(50, 100), schedule)
+    _check_message_order(compiled)
+    if schedule_name == "checkerboard":
+        assert [st.pos.size for st in compiled.steps] == [compiled.topology.n_edges] * 2
 
 
 @pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
