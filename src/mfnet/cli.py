@@ -222,7 +222,7 @@ def cmd_run_mf(args) -> int:
     pairs, schedule = _load_data(args)
     kls = []
     accs = []
-    for y, x_hat in _drain(pairs):
+    for i, (y, x_hat) in enumerate(_drain(pairs)):
         model = crf.build_mrf(y, theta)
         q, _ = meanfield.run(model, softmax_init(model), args.iters, schedule)
         kls.append(
@@ -230,6 +230,8 @@ def cmd_run_mf(args) -> int:
                 q.probs, model.unary, model.pairwise, model.topology.edges
             )
         )
+        if not math.isfinite(kls[-1]):  # JSON has no infinity
+            raise FloatingPointError(f"{args.data}: files[{i}]: unnormalized KL is {kls[-1]}")
         accs.append(float(np.mean(np.argmax(q.probs, axis=1) == x_hat.ravel())))
     result = {
         "iters": args.iters,

@@ -384,21 +384,19 @@ def block_activations(
 
 
 def reduced_softmax(a: np.ndarray) -> np.ndarray:
-    """Probabilities of labels 1..K-1 from reduced activations (K-1, B):
-    the softmax over label-major rows with label 0's activation pinned at 0.
-
-    Each site's activations are shifted by the larger of 0 and their
-    maximum, so no exponent overflows for finite input.
-    """
-    m = np.maximum(a[0], 0.0)
-    for row in a[1:]:
-        np.maximum(m, row, out=m)
-    z = np.exp(a - m)
-    total = np.exp(np.negative(m, out=m), out=m)
-    for row in z:
-        total += row
-    z /= total
-    return z
+    """Probabilities of labels 1..K-1 from reduced activations (K-1, B), the
+    softmax with label 0's activation pinned at 0: q_k = 1 / (e^{-a_k} +
+    sum_{l=1}^{K-1} e^{a_l - a_k}), summed in label order with the l = k
+    term exactly 1.0. That is `mrf.row_softmax`'s form and order with a_0 =
+    0, so the two agree bit for bit. Each sum is at least 1, so finite input
+    gives no NaN; a term that overflows (a_k < -709) gives q_k = 0, its
+    limit, and `run_unrolled` silences that overflow once per pass."""
+    q = np.negative(a)
+    np.exp(q, out=q)
+    for k, a_k in enumerate(a):
+        for l, a_l in enumerate(a):
+            q[k] += 1.0 if l == k else np.exp(a_l - a_k)
+    return np.divide(1.0, q, out=q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,28 +436,34 @@ def run_unrolled(
     If `tape` is a list, one StepRecord per block step is appended for
     the reverse pass.
 
-    Raises FloatingPointError when the final q is not finite.
+    Overflow to an infinite activation or softmax term is a limit, not an
+    error, and raises no warning. Raises FloatingPointError when the final
+    q or the last layer's activations are not finite.
     """
     order = compiled.order
     q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(order, axis=1)
     a_final = np.zeros_like(q)
     in_order: dict = {}  # each distinct unary, in step order
-    for m, (unary, tables, ops) in enumerate(layers):
-        if id(unary) not in in_order:
-            in_order[id(unary)] = unary.take(order, axis=1)
-        unary, last = in_order[id(unary)], m == len(layers) - 1
-        for st, op in zip(compiled.steps, ops):
-            # `take` copies, so the tape can keep this read as it is.
-            q_read = q.take(st.reads, axis=1)
-            a = block_activations(unary[:, st.sites], tables, st, q_read, op)
-            q_new = reduced_softmax(a)
-            if tape is not None:
-                tape.append(StepRecord(q_read, q_new))
-            q[:, st.sites] = q_new
-            if last:
-                a_final[:, st.sites] = a
+    # Once per pass, not per step: entering errstate costs about 1 us.
+    with np.errstate(over="ignore"):
+        for m, (unary, tables, ops) in enumerate(layers):
+            if id(unary) not in in_order:
+                in_order[id(unary)] = unary.take(order, axis=1)
+            unary, last = in_order[id(unary)], m == len(layers) - 1
+            for st, op in zip(compiled.steps, ops):
+                # `take` copies, so the tape can keep this read as it is.
+                q_read = q.take(st.reads, axis=1)
+                a = block_activations(unary[:, st.sites], tables, st, q_read, op)
+                q_new = reduced_softmax(a)
+                if tape is not None:
+                    tape.append(StepRecord(q_read, q_new))
+                q[:, st.sites] = q_new
+                if last:
+                    a_final[:, st.sites] = a
     if not np.all(np.isfinite(q)):
         raise FloatingPointError("mean field produced non-finite marginals")
+    if not np.all(np.isfinite(a_final)):
+        raise FloatingPointError("mean field produced non-finite activations")
     q, a_final = q.take(compiled.rank, axis=1), a_final.take(compiled.rank, axis=1)
     return _full(1.0 - q.sum(axis=0), q), _full(0.0, a_final)
 

@@ -110,7 +110,8 @@ def forward(
         inputs.append((u + const, tables, ops))
     if params.tied:
         inputs *= n_layers
-    q1 = engine.reduced_softmax(u1[0][None])
+    with np.errstate(over="ignore"):  # e^{-a} overflowing gives q = 0, its limit
+        q1 = engine.reduced_softmax(u1[0][None])
     return _taped_run(compiled, inputs, engine._full(1.0 - q1[0], q1))
 
 

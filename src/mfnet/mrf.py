@@ -123,13 +123,20 @@ def energy(mrf: PairwiseMRF, x: np.ndarray) -> float:
 
 
 def row_softmax(a: np.ndarray) -> np.ndarray:
-    """Softmax along the last (label) axis with max subtraction; the max and
-    the sum loop over labels, as reductions along a short axis are slow."""
+    """Softmax along the last (label) axis, q_k = 1 / sum_l e^{a_l - a_k},
+    summed over l = 0..K-1 in order with the l = k term exactly 1.0 (a loop
+    over labels, as reductions along a short axis are slow). On rows whose
+    label-0 activation is 0 this is `engine.reduced_softmax`, bit for bit.
+    Each sum is at least 1, so finite input gives no NaN; a term that
+    overflows gives q_k = 0, its limit, and no warning."""
     a = np.asarray(a, dtype=np.float64)
-    labels = range(a.shape[-1])
-    z = np.exp(a - reduce(np.maximum, [a[..., k] for k in labels])[..., None])
-    z /= reduce(np.add, [z[..., k] for k in labels])[..., None]
-    return z
+    cols = [a[..., k] for k in range(a.shape[-1])]
+    q = np.empty(a.shape)
+    with np.errstate(over="ignore"):
+        for k, a_k in enumerate(cols):
+            terms = [1.0 if l == k else np.exp(a_l - a_k) for l, a_l in enumerate(cols)]
+            q[..., k] = 1.0 / reduce(np.add, terms)
+    return q
 
 
 def softmax_init(mrf: PairwiseMRF) -> FactorialDistribution:

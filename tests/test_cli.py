@@ -602,6 +602,32 @@ class TestErrors:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["eval", "run-mf"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_non_finite_final_activations_are_numerical_failure(self, tiny_dataset, tmp_path,
+                                                                capsys, command, sign):
+        # The bias weight alone is finite; each neighbour's Potts constant -p
+        # pushes the activations past the float range, to sign * inf, where
+        # the softmax still gives a finite q.
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(
+            {"w": [0.0] * 25 + [sign * 1.7e308], "p_h": -sign * 1e307, "p_v": -sign * 1e307}))
+        flag = "--model" if command == "eval" else "--params"
+        code, out, err = run_cli(capsys, command, flag, str(params), "--data",
+                                 str(tiny_dataset / "test"), "--iters", "3")
+        assert code == 2 and out == ""
+        assert err == "numerical failure: mean field produced non-finite activations\n"
+
+    def test_run_mf_non_finite_kl_names_the_image(self, tiny_dataset, tmp_path, capsys):
+        # Finite activations and q, but the KL's unary sum overflows.
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"w": [0.0] * 25 + [1e305], "p_h": 0.0, "p_v": 0.0}))
+        split = tiny_dataset / "test"
+        code, out, err = run_cli(capsys, "run-mf", "--params", str(params), "--data",
+                                 str(split), "--iters", "3")
+        assert code == 2 and out == ""
+        assert err == f"numerical failure: {split}: files[0]: unnormalized KL is -inf\n"
+
     def test_numerical_failure_prints_one_line(self, tiny_dataset, tmp_path):
         params = tmp_path / "big.json"
         params.write_text(json.dumps({"w": [1e306] * 26, "p_h": 1e308, "p_v": 1e308}))

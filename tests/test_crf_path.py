@@ -8,6 +8,7 @@ gradients by `engine.lift_gradients`, the q0 softmax folded into the full
 unary gradient, and `theta_gradient` of the label-1 unary column and the
 Potts diagonal.
 """
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from mfnet import engine
 from mfnet.crf import CrfParams, build_mrf, theta_gradient
 from mfnet.mfn import MfnParams, backward, forward, forward_mrfs, hinge_loss_grad, kl_grad_q
-from mfnet.mrf import row_softmax
+from mfnet.mrf import row_softmax, softmax_init
 
 GRIDS = [(1, 1), (1, 6), (5, 1), (3, 4), (50, 100)]
 
@@ -99,3 +100,18 @@ def test_non_finite_potentials_are_rejected():
                   CrfParams(np.zeros(26), 0.0, -np.inf)):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
             forward(y, MfnParams.tied_from(theta), 2, engine.checkerboard_schedule(3, 4))
+
+
+@pytest.mark.parametrize("scale", [0.5, 50.0, 1e306])
+def test_q0_is_the_softmax_init_of_the_first_layer(scale):
+    """`mfn.forward` takes q0 from the engine's softmax and `run-mf` from
+    `softmax_init`; they agree bit for bit, on unaries whose exponentials
+    overflow too, and warn of nothing."""
+    rng = np.random.default_rng(int(np.log10(scale)) + 2)
+    y = rng.random((50, 100))
+    theta = CrfParams(w=rng.normal(0, scale, 26), p_h=0.0, p_v=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = forward(y, MfnParams.tied_from(theta), 1, engine.checkerboard_schedule(50, 100))
+        init = softmax_init(build_mrf(y, theta)).probs
+    assert same_bits(trace.q0, init.T[1:])

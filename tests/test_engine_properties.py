@@ -1,4 +1,5 @@
 """Property tests of the shared engine over random graphs, label counts and schedules."""
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -285,7 +286,7 @@ def test_independent_blocks_equal_sequential(problem):
     np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     arrays(
         np.float64,
@@ -296,11 +297,16 @@ def test_independent_blocks_equal_sequential(problem):
     )
 )
 def test_reduced_softmax_is_softmax_with_a_zero_row(a):
-    # Differences of +-1e308 overflow to -inf, whose exponential is 0.
-    with np.errstate(over="ignore"):
-        q = engine.reduced_softmax(a)
+    """K = 2..4: the engine's softmax is `row_softmax` of rows (0, a), bit for
+    bit, and neither raises a floating-point warning. Overflow is the q = 0
+    limit; `run_unrolled` suppresses it once per pass, so it is ignored here,
+    and any other floating-point error fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         full = row_softmax(np.vstack([np.zeros((1, a.shape[1])), a]).T).T
-    np.testing.assert_allclose(q, full[1:], rtol=0, atol=1e-15)
+        with np.errstate(over="ignore", invalid="raise", divide="raise"):
+            q = engine.reduced_softmax(a)
+    np.testing.assert_array_equal(q, full[1:])
     assert np.all(np.isfinite(q)) and np.all((q >= 0) & (q <= 1))
 
 
