@@ -436,9 +436,10 @@ def run_unrolled(
     If `tape` is a list, one StepRecord per block step is appended for
     the reverse pass.
 
-    Overflow to an infinite activation or softmax term is a limit, not an
-    error, and raises no warning. Raises FloatingPointError when the final
-    q or the last layer's activations are not finite.
+    A softmax term, or an activation before the last layer, that overflows
+    is a limit, not an error, and raises no warning. Raises
+    FloatingPointError when the final q or the last layer's activations
+    are not finite.
     """
     order = compiled.order
     q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(order, axis=1)
