@@ -1,11 +1,10 @@
 """Pairwise MRFs, mean field inference, and trainable unrolled mean field networks."""
 
 from .engine import (
-    BlockParallel,
     Schedule,
-    Sequential,
     checkerboard_schedule,
     raster_schedule,
+    sequential_schedule,
 )
 from .mrf import (
     FactorialDistribution,
@@ -20,11 +19,10 @@ from .crf import CrfParams, build_mrf, theta0
 from .mfn import MfnParams, forward, predict
 
 __all__ = [
-    "BlockParallel",
     "Schedule",
-    "Sequential",
     "checkerboard_schedule",
     "raster_schedule",
+    "sequential_schedule",
     "FactorialDistribution",
     "GraphTopology",
     "PairwiseMRF",

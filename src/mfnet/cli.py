@@ -157,10 +157,7 @@ MODEL_FORMAT = f"an MFN model with keys tied, layers, or {CRF_FORMAT}"
 def _read_params(path, parse, expected):
     """parse(d) of the JSON object in `path`; a missing key or a value of the
     wrong type is reported with the file and the `expected` format."""
-    try:
-        d = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValueError(f"{path}: malformed JSON: {exc}") from None
+    d = data.read_json(path)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: parameters must be a JSON object")
     try:

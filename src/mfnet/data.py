@@ -39,7 +39,8 @@ FONT_5X7 = {
 }
 LETTERS = sorted(FONT_5X7)
 GLYPH_W, GLYPH_H = 5, 7
-DEFAULT_SCALE = 3
+SCALE = 3  # pixels per glyph dot
+MIN_LETTERS, MAX_LETTERS = 3, 8
 DEFAULT_H, DEFAULT_W = 50, 100
 DEFAULT_FLIP_P = 0.1
 DEFAULT_SIGMA = 0.3
@@ -67,26 +68,21 @@ class LabeledImage:
         return self.input, self.label
 
 
-def _glyph(letter: str, scale: int) -> np.ndarray:
+def _glyph(letter: str) -> np.ndarray:
     rows = FONT_5X7[letter]
     bitmap = np.array([[1 if ch == "#" else 0 for ch in row] for row in rows])
-    return np.kron(bitmap, np.ones((scale, scale), dtype=np.int64))
+    return np.kron(bitmap, np.ones((SCALE, SCALE), dtype=np.int64))
 
 
 def render_clean(
-    rng: np.random.Generator,
-    height: int = DEFAULT_H,
-    width: int = DEFAULT_W,
-    min_letters: int = 3,
-    max_letters: int = 8,
-    scale: int = DEFAULT_SCALE,
+    rng: np.random.Generator, height: int = DEFAULT_H, width: int = DEFAULT_W
 ) -> np.ndarray:
     """Black background with random white letters at non-overlapping positions."""
     img = np.zeros((height, width), dtype=np.int64)
-    gw, gh = GLYPH_W * scale, GLYPH_H * scale
+    gw, gh = GLYPH_W * SCALE, GLYPH_H * SCALE
     if gw > width or gh > height:
         raise ValueError("image too small for one glyph")
-    n_target = int(rng.integers(min_letters, max_letters + 1))
+    n_target = int(rng.integers(MIN_LETTERS, MAX_LETTERS + 1))
     n = min(n_target, width // gw)  # cap at what physically fits
     slack = width - n * gw
     offsets = np.sort(rng.uniform(0, slack + 1, size=n)).astype(np.int64)
@@ -94,7 +90,7 @@ def render_clean(
     for x in xs:
         letter = LETTERS[int(rng.integers(len(LETTERS)))]
         ytop = int(rng.integers(0, height - gh + 1))
-        img[ytop : ytop + gh, x : x + gw] |= _glyph(letter, scale)
+        img[ytop : ytop + gh, x : x + gw] |= _glyph(letter)
     return img
 
 
@@ -215,12 +211,18 @@ def save_split(images: Sequence[LabeledImage], out_dir, manifest: dict) -> Path:
     return manifest_path
 
 
+def read_json(path):
+    """The JSON value in `path`; malformed JSON, non-UTF-8 bytes and nesting
+    too deep to parse are a ValueError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: malformed JSON: {exc}") from None
+
+
 def load_split(manifest_path) -> List[LabeledImage]:
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise ValueError(f"{manifest_path}: malformed JSON: {exc}") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), list):
         raise ValueError(f"{manifest_path}: not a split manifest (no 'files' list)")
     images = []

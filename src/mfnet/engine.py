@@ -1,14 +1,14 @@
 """Shared execution engine for mean field sweeps and their unrolled form.
 
-A schedule is a sequence of blocks: every site update inside a block reads
+A `Schedule` is a tuple of blocks: every site update inside a block reads
 the q values from before the block, and a sweep applies the blocks in order
-(a Sequential schedule is singleton blocks). Compiling a schedule against a
-topology groups its blocks into dependency levels, as level scheduling does
-for sparse triangular solves, and runs each level as one block step: a
-block's level is one more than the highest level of any earlier block it
-shares an edge with. Each site then reads exactly the values the schedule
-gives it, so the forward pass is the same bit for bit; a 50x100 raster
-sweep runs as 149 anti-diagonal steps instead of 5,000.
+(sequential order is the case of one-site blocks). Compiling a schedule
+against a topology groups its blocks into dependency levels, as level
+scheduling does for sparse triangular solves, and runs each level as one
+block step: a block's level is one more than the highest level of any
+earlier block it shares an edge with. Each site then reads exactly the
+values the schedule gives it, so the forward pass is the same bit for bit;
+a 50x100 raster sweep runs as 149 anti-diagonal steps instead of 5,000.
 
 The same step loop runs plain mean field and the unrolled network; the
 tape recorded here is what the reverse pass consumes.
@@ -52,10 +52,10 @@ back, so callers see site order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,48 +65,36 @@ if TYPE_CHECKING:
     from scipy.sparse import csr_array
 
 
-class _HashedOnce:
-    """Hashes a frozen schedule once: it keys `compile_schedule`'s cache."""
+@dataclass(frozen=True)
+class Schedule:
+    """An update order: the blocks are applied in turn, and every site of a
+    block reads the q values from before the block. Coordinate (sequential)
+    mean field is the case of one-site blocks, `sequential_schedule`."""
+
+    blocks: Tuple[Tuple[int, ...], ...]
 
     @cached_property
     def _hash(self) -> int:
-        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+        return hash(self.blocks)
 
     def __hash__(self) -> int:
+        # Hashed once: the schedule keys `compile_schedule`'s cache.
         return self._hash
 
 
-@dataclass(frozen=True)
-class Sequential(_HashedOnce):
-    """Update vertices one at a time, in the given order."""
-
-    order: Tuple[int, ...]
-    __hash__ = _HashedOnce.__hash__  # kept by the dataclass, as it is defined here
-
-    def blocks(self):
-        return [(v,) for v in self.order]
-
-
-@dataclass(frozen=True)
-class BlockParallel(_HashedOnce):
-    """Update each block in parallel; blocks are applied in order."""
-
-    block_list: Tuple[Tuple[int, ...], ...]
-    __hash__ = _HashedOnce.__hash__
-
-    def blocks(self):
-        return list(self.block_list)
-
-
-Schedule = Union[Sequential, BlockParallel]
-
-
-def raster_schedule(n_vertices: int) -> Sequential:
-    return Sequential(tuple(range(n_vertices)))
+def sequential_schedule(order: Iterable[int]) -> Schedule:
+    """Update the sites one at a time, in the given order."""
+    return Schedule(tuple((v,) for v in order))
 
 
 @lru_cache(maxsize=8)
-def checkerboard_schedule(height: int, width: int) -> BlockParallel:
+def raster_schedule(n_vertices: int) -> Schedule:
+    """Sites in index order; cached per size, as `checkerboard_schedule` is."""
+    return sequential_schedule(range(n_vertices))
+
+
+@lru_cache(maxsize=8)
+def checkerboard_schedule(height: int, width: int) -> Schedule:
     """Two-block parity schedule for a 4-connected height x width grid.
 
     Cached per size: schedules are immutable, and callers that build one
@@ -116,14 +104,14 @@ def checkerboard_schedule(height: int, width: int) -> BlockParallel:
     parity = (idx // width + idx % width) % 2
     black = tuple(int(v) for v in idx[parity == 0])
     white = tuple(int(v) for v in idx[parity == 1])
-    return BlockParallel((black, white))
+    return Schedule((black, white))
 
 
 def validate_schedule(topology: GraphTopology, schedule: Schedule) -> np.ndarray:
     """Check that the schedule updates every vertex exactly once; returns
     the vertices in update order."""
     n = topology.n_vertices
-    seen = np.fromiter(chain.from_iterable(schedule.blocks()), dtype=np.int64)
+    seen = np.fromiter(chain.from_iterable(schedule.blocks), dtype=np.int64)
     if len(seen) != n:
         raise ValueError("schedule must cover every vertex exactly once")
     if seen.min() < 0 or seen.max() >= n:
@@ -207,7 +195,7 @@ def _block_levels(block_of: np.ndarray, edges: np.ndarray, n_blocks: int) -> np.
 def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSchedule:
     seen = validate_schedule(topology, schedule)
     n, E = topology.n_vertices, topology.n_edges
-    sizes = np.fromiter(map(len, schedule.blocks()), dtype=np.int64)
+    sizes = np.fromiter(map(len, schedule.blocks), dtype=np.int64)
     block_of = np.empty(n, dtype=np.int64)
     block_of[seen] = np.repeat(np.arange(sizes.size), sizes)
     # One step per dependency level: every neighbour a site reads sits on a
@@ -286,10 +274,9 @@ def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     np.cumsum(np.bincount(st.pos, minlength=B), out=indptr[1:])
     cols = st.read_idx.astype(np.int32)
     data = tables[:, :, st.msgs].swapaxes(1, 2).reshape(-1)
-    if K1 > 1:
-        cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
-        ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
-        indptr = np.concatenate([indptr[:1], ends.ravel()])
+    cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
+    ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
+    indptr = np.concatenate([indptr[:1], ends.ravel()])
     return csr_array((data, cols, indptr), shape=(K1 * B, K1 * st.reads.size))
 
 

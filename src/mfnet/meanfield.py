@@ -6,7 +6,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import engine
-from .engine import BlockParallel, Schedule, Sequential, checkerboard_schedule, raster_schedule
+from .engine import Schedule, checkerboard_schedule, raster_schedule, sequential_schedule
 from .mrf import (
     FactorialDistribution,
     PairwiseMRF,
@@ -15,9 +15,8 @@ from .mrf import (
 )
 
 __all__ = [
-    "Sequential",
-    "BlockParallel",
     "Schedule",
+    "sequential_schedule",
     "checkerboard_schedule",
     "raster_schedule",
     "site_update",

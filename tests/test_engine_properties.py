@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_grid_mrf, replay
 from mfnet import engine, meanfield
 from mfnet.crf import grid_graph, theta0
-from mfnet.engine import BlockParallel, Sequential
+from mfnet.engine import Schedule, sequential_schedule
 from mfnet.mfn import MfnParams, forward, forward_mrfs
 from mfnet.mrf import (
     FactorialDistribution,
@@ -45,7 +45,7 @@ def problems(draw):
     ]
     order = draw(st.permutations(range(n)))
     if draw(st.booleans()):
-        return mrfs, Sequential(tuple(order))
+        return mrfs, sequential_schedule(tuple(order))
     cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
     blocks, block = [], [order[0]]
     for v, cut in zip(order[1:], cuts):
@@ -54,7 +54,7 @@ def problems(draw):
             block = []
         block.append(v)
     blocks.append(tuple(block))
-    return mrfs, BlockParallel(tuple(blocks))
+    return mrfs, Schedule(tuple(blocks))
 
 
 @settings(max_examples=80, deadline=None)
@@ -156,7 +156,7 @@ def test_run_unrolled_matches_site_updates(problem):
     q0 = q.copy()
     a = np.zeros_like(q)
     for m in mrfs:
-        for block in schedule.blocks():
+        for block in schedule.blocks:
             before = FactorialDistribution(q.copy())
             for v in block:
                 # The unary plus each neighbour's pre-block q through the edge table.
@@ -244,13 +244,17 @@ def test_backward_rejects_a_tape_of_another_length():
 
 def test_equal_schedules_built_separately_share_one_compiled_schedule():
     topo = grid_graph(6, 5)
-    for make in (lambda: Sequential(tuple(range(29, -1, -1))),
-                 lambda: BlockParallel(tuple(tuple(b) for b in [range(15), range(15, 30)]))):
+    for make in (lambda: sequential_schedule(tuple(range(29, -1, -1))),
+                 lambda: Schedule(tuple(tuple(b) for b in [range(15), range(15, 30)]))):
         a, b = make(), make()
         assert a is not b and a == b and hash(a) == hash(b)
         assert engine.compile_schedule(topo, a) is engine.compile_schedule(topo, b)
-    seq, par = Sequential((0, 1)), BlockParallel(((0,), (1,)))
-    assert seq != par and seq != Sequential((1, 0)) and par != BlockParallel(((0, 1),))
+    # Coordinate order is the one-site-block case: both spellings are one schedule.
+    seq, par = sequential_schedule((0, 1)), Schedule(((0,), (1,)))
+    assert seq == par and hash(seq) == hash(par)
+    path = GraphTopology(n_vertices=2, edges=[(0, 1)])
+    assert engine.compile_schedule(path, seq) is engine.compile_schedule(path, par)
+    assert seq != sequential_schedule((1, 0)) and par != Schedule(((0, 1),))
 
 
 def _independent_blocks(topology, order):
@@ -272,7 +276,7 @@ def test_independent_blocks_equal_sequential(problem):
     mrfs, schedule = problem
     mrfs = mrfs[:3]
     topo = mrfs[0].topology
-    order = [v for block in schedule.blocks() for v in block]
+    order = [v for block in schedule.blocks for v in block]
     blocks = _independent_blocks(topo, order)
     layers = [(m.unary, m.pairwise) for m in mrfs]
     q0 = row_softmax(mrfs[0].unary)
@@ -281,8 +285,8 @@ def test_independent_blocks_equal_sequential(problem):
         compiled = engine.compile_schedule(topo, schedule)
         return engine.run_unrolled(engine.layer_inputs(compiled, layers), q0, compiled)[0]
 
-    parallel = run(BlockParallel(tuple(blocks)))
-    sequential = run(Sequential(tuple(order)))
+    parallel = run(Schedule(tuple(blocks)))
+    sequential = run(sequential_schedule(tuple(order)))
     np.testing.assert_allclose(parallel, sequential, rtol=0, atol=1e-12)
 
 
@@ -323,9 +327,9 @@ def test_steps_are_dependency_levels(problem):
         step_of[step.verts] = s
     assert np.all(step_of >= 0)
     block_of, rank = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    order = [v for block in schedule.blocks() for v in block]
+    order = [v for block in schedule.blocks for v in block]
     rank[order] = np.arange(n)
-    for b, block in enumerate(schedule.blocks()):
+    for b, block in enumerate(schedule.blocks):
         block_of[list(block)] = b
         assert len(set(step_of[list(block)])) <= 1
     for u, v in topo.edges:
@@ -349,7 +353,7 @@ def test_raster_compiles_to_anti_diagonals(h, w):
 def test_checkerboard_compiles_to_its_two_blocks():
     schedule = engine.checkerboard_schedule(50, 100)
     compiled = engine.compile_schedule(grid_graph(50, 100), schedule)
-    assert [tuple(step.verts) for step in compiled.steps] == list(schedule.block_list)
+    assert [tuple(step.verts) for step in compiled.steps] == list(schedule.blocks)
 
 
 def test_sequential_along_a_path_compiles_to_one_step_per_vertex():
@@ -361,7 +365,7 @@ def test_sequential_along_a_path_compiles_to_one_step_per_vertex():
 
 def test_edgeless_graph_compiles_to_one_step():
     topo = GraphTopology(n_vertices=5, edges=np.zeros((0, 2), dtype=np.int64))
-    compiled = engine.compile_schedule(topo, Sequential((3, 1, 4, 0, 2)))
+    compiled = engine.compile_schedule(topo, sequential_schedule((3, 1, 4, 0, 2)))
     assert [tuple(step.verts) for step in compiled.steps] == [(3, 1, 4, 0, 2)]
 
 

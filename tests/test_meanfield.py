@@ -4,11 +4,11 @@ import pytest
 from conftest import random_grid_mrf, random_mrf, random_q
 from mfnet import meanfield
 from mfnet.engine import (
-    BlockParallel,
-    Sequential,
+    Schedule,
     checkerboard_schedule,
     compile_schedule,
     raster_schedule,
+    sequential_schedule,
     validate_schedule,
 )
 from mfnet.mrf import (
@@ -35,16 +35,16 @@ class TestSchedules:
 
         topo = grid_graph(3, 4)
         validate_schedule(topo, sched)
-        black = set(sched.block_list[0])
+        black = set(sched.blocks[0])
         for s, t in topo.edges:
             assert (s in black) != (t in black)
 
     def test_schedule_must_cover_all_vertices(self):
         topo = GraphTopology(3, np.array([[0, 1]]))
         with pytest.raises(ValueError):
-            compile_schedule(topo, Sequential((0, 1)))
+            compile_schedule(topo, sequential_schedule((0, 1)))
         with pytest.raises(ValueError):
-            compile_schedule(topo, BlockParallel(((0, 1), (1, 2))))
+            compile_schedule(topo, Schedule(((0, 1), (1, 2))))
 
 
 class TestSiteUpdate:
@@ -71,7 +71,7 @@ class TestSweep:
     def test_edgeless_any_schedule_gives_softmax_init(self, rng):
         m = random_mrf(rng, 5, 2, edge_p=0.0, scale=2.0)
         expected = softmax_init(m).probs
-        for sched in (Sequential((3, 1, 4, 0, 2)), BlockParallel(((0, 2, 4), (1, 3)))):
+        for sched in (sequential_schedule((3, 1, 4, 0, 2)), Schedule(((0, 2, 4), (1, 3)))):
             out = meanfield.sweep(m, random_q(rng, 5, 2), sched)
             np.testing.assert_allclose(out.probs, expected, atol=1e-12)
 
@@ -79,7 +79,7 @@ class TestSweep:
         # 4-chain: vertex 1's update must read vertex 0's new value
         m = chain_mrf(4, [[0, 3], [0, 0], [0, 0], [0, 0]], 1.0)
         q = FactorialDistribution(np.full((4, 2), 0.5))
-        seq = meanfield.sweep(m, q, Sequential((0, 1, 2, 3)))
+        seq = meanfield.sweep(m, q, sequential_schedule((0, 1, 2, 3)))
         # reference: vertex 1 with the *new* q0
         q0_new = meanfield.site_update(m, q, 0)
         ref = FactorialDistribution(np.vstack([q0_new, q.probs[1:]]))
@@ -93,7 +93,7 @@ class TestSweep:
     def test_block_parallel_reads_pre_sweep_values(self):
         m = chain_mrf(4, [[0, 3], [0, 0], [0, 0], [0, 0]], 1.0)
         q = FactorialDistribution(np.full((4, 2), 0.5))
-        blocked = meanfield.sweep(m, q, BlockParallel(((0, 2), (1, 3))))
+        blocked = meanfield.sweep(m, q, Schedule(((0, 2), (1, 3))))
         # vertices 0 and 2 both read the original q
         np.testing.assert_allclose(blocked.probs[0], meanfield.site_update(m, q, 0), atol=1e-12)
         np.testing.assert_allclose(blocked.probs[2], meanfield.site_update(m, q, 2), atol=1e-12)

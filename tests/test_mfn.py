@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_mrf, random_q, replay
 from mfnet import meanfield, mfn
 from mfnet.crf import CrfParams, build_mrf, theta0
-from mfnet.engine import BlockParallel, Sequential, checkerboard_schedule, raster_schedule
+from mfnet.engine import checkerboard_schedule, raster_schedule, sequential_schedule
 from mfnet.gradcheck import check_config
 from mfnet.mfn import (
     MfnParams,
@@ -84,8 +84,8 @@ class TestForward:
             m = random_mrf(rng, n, K, edge_p=0.6)
             order = tuple(rng.permutation(n).tolist())
             n_layers = int(rng.integers(1, 5))
-            trace = forward_mrfs([m] * n_layers, Sequential(order))
-            q_ref, _ = meanfield.run(m, softmax_init(m), n_layers, Sequential(order))
+            trace = forward_mrfs([m] * n_layers, sequential_schedule(order))
+            q_ref, _ = meanfield.run(m, softmax_init(m), n_layers, sequential_schedule(order))
             np.testing.assert_array_equal(trace.q_final, q_ref.probs)
 
 
