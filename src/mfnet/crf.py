@@ -67,7 +67,7 @@ def theta0() -> CrfParams:
 @lru_cache(maxsize=8)
 def grid_graph(height: int, width: int) -> GraphTopology:
     """4-connected grid: the height*(width-1) horizontal edges come first,
-    then the vertical ones; `_potts_tables` and `theta_gradient` rely on it."""
+    then the vertical ones; `potts_tables` and `theta_gradient` rely on it."""
     idx = np.arange(height * width).reshape(height, width)
     h_edges = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     v_edges = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
@@ -104,9 +104,9 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _potts_tables(height: int, width: int, p_h: float, p_v: float) -> np.ndarray:
+def potts_tables(height: int, width: int, p_h: float, p_v: float) -> np.ndarray:
     """Read-only (E, 2, 2) Potts tables, penalty p_h on horizontal and p_v on
-    vertical edges, shared by every image (and by `engine.layer_inputs`)."""
+    vertical edges, shared by every image (and by `engine.reduced_layer`)."""
     n_h = height * (width - 1)  # horizontal edges come first
     pairwise = np.zeros((grid_graph(height, width).n_edges, 2, 2))
     pairwise[:n_h, 0, 0] = pairwise[:n_h, 1, 1] = p_h
@@ -121,7 +121,7 @@ def build_mrf(y: np.ndarray, theta: CrfParams) -> PairwiseMRF:
     h, w = y.shape
     unary = np.zeros((h * w, 2))
     unary[:, 1] = feature_matrix(y) @ theta.w
-    pairwise = _potts_tables(h, w, theta.p_h, theta.p_v)
+    pairwise = potts_tables(h, w, theta.p_h, theta.p_v)
     return PairwiseMRF(topology=grid_graph(h, w), K=2, unary=unary, pairwise=pairwise)
 
 

@@ -15,9 +15,9 @@ tape recorded here is what the reverse pass consumes.
 
 Reduced form: a softmax ignores a constant added to a site's activations,
 so the engine pins label 0's activation at 0 and carries only labels
-1..K-1 (`layer_inputs` builds the matching unary and message tables, and
-reuses the tables of read-only pairwise arrays). For the binary CRF this
-is the magnetization form of mean field,
+1..K-1 (`reduced_layer` builds a layer's matching unary and message
+tables, and reuses the tables of read-only pairwise arrays). For the
+binary CRF this is the magnetization form of mean field,
 q_s = sigmoid(h_s + sum_t (c_st + s_st q_t)). Callers still pass and
 receive (n, K) arrays: label 0 of q0 is not read, since q0 is a
 distribution; label 0 of a returned q is one minus the others; returned
@@ -47,8 +47,8 @@ Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
 order the steps update them, so a step's own sites are one slice of q,
 the unary and their gradients, and only its read sites are gathered. The
-passes permute their inputs into step order on entry and their outputs
-back, so callers see site order.
+unary is built in step order; the passes permute only q0 and the output
+gradients into step order on entry, and their outputs back to site order.
 """
 from __future__ import annotations
 
@@ -133,7 +133,7 @@ class BlockStep:
 
     Every edge carries one message into each endpoint. Message d of this step
     reads site `reads[read_idx[d]]` (in step order) through oriented table
-    `[:, :, msgs.start + d]` of the `layer_inputs` tables and adds into block
+    `[:, :, msgs.start + d]` of the `reduced_layer` tables and adds into block
     position `pos[d]`. `pos` is non-decreasing, so the messages are in CSR
     order: `pos` gives the row pointers and `read_idx` the columns.
     """
@@ -281,11 +281,11 @@ def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
 
 
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
-    """The image-free part of `layer_inputs`: message constants summed into
-    their targets (K-1, n), the reduced tables, and each step's operator
-    (`_step_operator`, None for steps with fewer than SPARSE_MIN_MESSAGES
-    messages). Stored for read-only arrays that own their data, holding
-    each so its id is not reused; others are rebuilt."""
+    """The image-free part of `reduced_layer`: message constants summed into
+    their targets (K-1, n) in step order, the reduced tables, and each
+    step's operator (`_step_operator`, None for steps with fewer than
+    SPARSE_MIN_MESSAGES messages). Stored for read-only arrays that own
+    their data, holding each so its id is not reused; others are rebuilt."""
     store, key = compiled._table_inputs, id(pairwise)
     frozen = not pairwise.flags.writeable and pairwise.base is None
     if frozen and key in store:
@@ -295,7 +295,7 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
     # Per label row: the constants into each edge's lower endpoint, then its upper one.
     lower, upper = parts[K1 * K1 : K1 * K], parts[K1 * K :]
-    targets = compiled.topology.edges.T.ravel()
+    targets = compiled.rank[compiled.topology.edges.T.ravel()]
     const = np.empty((K1, n))
     for k in range(K1):
         const[k] = np.bincount(targets, np.concatenate([lower[k], upper[k]]), minlength=n)
@@ -315,31 +315,33 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     return out
 
 
-def layer_inputs(
-    compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
-) -> list:
-    """Reduced label-major (unary (K-1, n), tables (K-1, K-1, 2E), step
-    operators) of each layer, built once per distinct (unary, pairwise) pair.
+def reduced_layer(
+    compiled: CompiledSchedule, unary1: np.ndarray, pairwise: np.ndarray
+) -> tuple:
+    """One layer's engine input, label-major and in step order: (unary
+    (K-1, n), tables (K-1, K-1, 2E), step operators), from its reduced
+    unary `unary1` (K-1, n), u_k - u_0 for labels k >= 1 in site order,
+    and its (E, K, K) pairwise array.
 
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
     T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
     T'[k,l] = T[k,l] - T[0,l] - T[k,0] + T[0,0]. The tables hold T' in
     `compiled.message_of` order, transposed for messages into an upper
     endpoint (the reduction commutes with transposition); the constants
-    are summed into each message's target, on top of the unary
-    differences u_k - u_0. Only the latter depend on the image;
-    `_table_inputs` reuses the rest, the tables' step operators included.
+    are summed into each message's target, on top of `unary1`. Only
+    `unary1` depends on the image; `_table_inputs` reuses the rest, the
+    tables' step operators included.
     """
-    built: dict = {}
-    inputs = []
-    for unary, pairwise in layers:
-        key = (id(unary), id(pairwise))
-        if key not in built:
-            const, tables, ops = _table_inputs(compiled, pairwise)
-            unary = np.asarray(unary, dtype=np.float64)
-            built[key] = np.subtract(unary.T[1:], unary[:, 0]) + const, tables, ops
-        inputs.append(built[key])
-    return inputs
+    const, tables, ops = _table_inputs(compiled, pairwise)
+    return unary1.take(compiled.order, axis=1) + const, tables, ops
+
+
+def layer_inputs(
+    compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
+) -> list:
+    """The `reduced_layer` of each (unary (n, K), pairwise (E, K, K)) pair."""
+    full = [(np.asarray(u, dtype=np.float64).T, p) for u, p in layers]
+    return [reduced_layer(compiled, u[1:] - u[0], p) for u, p in full]
 
 
 def block_activations(
@@ -350,7 +352,7 @@ def block_activations(
     op: Optional[csr_array] = None,
 ) -> np.ndarray:
     """Reduced activations (K-1, B) for the block's sites, given their rows
-    of its layer's `layer_inputs` unary, (K-1, B), the layer's tables and
+    of its layer's `reduced_layer` unary, (K-1, B), the layer's tables and
     step operator `op`, and the reduced q columns of the step's read sites,
     (K-1, R). With an operator the message sums are one product with the
     flattened q columns; without, each label row sums its messages into the
@@ -417,9 +419,9 @@ def run_unrolled(
     Only labels 1..K-1 of q0 are read: q0 is a distribution, so label 0 is
     one minus their sum, and so is column 0 of every q returned.
 
-    `layers` holds the `layer_inputs` of each sweep, reduced (unary,
-    tables, step operators) triples; plain mean field passes the same
-    triple M times.
+    `layers` holds the `reduced_layer` input of each sweep, (unary,
+    tables, step operators) triples in step order; plain mean field
+    passes the same triple M times.
     If `tape` is a list, one StepRecord per block step is appended for
     the reverse pass.
 
@@ -428,16 +430,12 @@ def run_unrolled(
     FloatingPointError when the final q or the last layer's activations
     are not finite.
     """
-    order = compiled.order
-    q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(order, axis=1)
+    q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(compiled.order, axis=1)
     a_final = np.zeros_like(q)
-    in_order: dict = {}  # each distinct unary, in step order
     # Once per pass, not per step: entering errstate costs about 1 us.
     with np.errstate(over="ignore"):
         for m, (unary, tables, ops) in enumerate(layers):
-            if id(unary) not in in_order:
-                in_order[id(unary)] = unary.take(order, axis=1)
-            unary, last = in_order[id(unary)], m == len(layers) - 1
+            last = m == len(layers) - 1
             for st, op in zip(compiled.steps, ops):
                 # `take` copies, so the tape can keep this read as it is.
                 q_read = q.take(st.reads, axis=1)
@@ -465,9 +463,9 @@ def backward_unrolled(
 ):
     """Reverse pass through a recorded forward run.
 
-    `tape` and `inputs` (its StepRecords and `layer_inputs`) are all it
-    reads of the forward; they fix the layer count and K. `gq_final`
-    (n, K) is the loss gradient with respect to the final q values;
+    `tape` and `inputs` (its StepRecords and `reduced_layer` inputs) are
+    all it reads of the forward; they fix the layer count and K.
+    `gq_final` (n, K) is the loss gradient with respect to the final q values;
     `ga_final` (n, K) is a loss gradient applied directly to each site's
     final activations (bypassing the closing softmax; column 0 is not
     read, as the forward pins it at 0). Either or both may be given.
@@ -527,7 +525,7 @@ def lift_gradients(
     compiled: CompiledSchedule, dunary: np.ndarray, dtables: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """One layer's `backward_unrolled` gradients, pulled back through the
-    transpose of the `layer_inputs` reduction to its (n, K) unary and
+    transpose of the `reduced_layer` reduction to its (n, K) unary and
     (E, K, K) pairwise arrays.
 
     One label-major ((K-1)^2 + 2(K-1), E) array holds each edge's

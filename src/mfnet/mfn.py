@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import engine
-from .crf import CrfParams, _potts_tables, build_mrf, feature_matrix, grid_graph, theta_gradient
+from .crf import CrfParams, build_mrf, feature_matrix, grid_graph, potts_tables, theta_gradient
 from .engine import CompiledSchedule, Schedule, checkerboard_schedule
 from .mrf import LOG_FLOOR, PairwiseMRF, row_softmax, unnormalized_kl_arrays
 
@@ -53,7 +53,10 @@ class MfnParams:
     def from_json_dict(cls, d: dict) -> "MfnParams":
         if not isinstance(d["tied"], bool):
             raise ValueError("tied must be true or false")
-        return cls(tied=d["tied"], layers=[CrfParams.from_json_dict(x) for x in d["layers"]])
+        layers = d["layers"]
+        if not (isinstance(layers, list) and all(isinstance(x, dict) for x in layers)):
+            raise ValueError("layers must be a list of CRF parameter objects")
+        return cls(tied=d["tied"], layers=[CrfParams.from_json_dict(x) for x in layers])
 
     @classmethod
     def tied_from(cls, theta: CrfParams) -> "MfnParams":
@@ -86,8 +89,8 @@ def forward(
     """Forward pass on an image: layer m uses potentials built from its own parameters.
 
     The engine's reduced inputs are built from the parameters directly:
-    the label-0 unary is 0, so a layer's unary input is its label-1 unary
-    `phi @ w` plus the message constants of its Potts tables, and q0 is the
+    the label-0 unary is 0, so a layer's input is the `engine.reduced_layer`
+    of its label-1 unary `phi @ w` and its Potts tables, and q0 is the
     reduced softmax of the first layer's label-1 unary. These, and so the
     whole run, are bit for bit what `forward_mrfs` builds from the layers'
     `build_mrf` models.
@@ -106,13 +109,12 @@ def forward(
     for u, p in zip(u1, params.layers):
         if not (np.all(np.isfinite(u)) and np.isfinite(p.p_h) and np.isfinite(p.p_v)):
             raise ValueError("potentials must be finite")
-        const, tables, ops = engine._table_inputs(compiled, _potts_tables(h, w, p.p_h, p.p_v))
-        inputs.append((u + const, tables, ops))
+        inputs.append(engine.reduced_layer(compiled, u[None], potts_tables(h, w, p.p_h, p.p_v)))
     if params.tied:
         inputs *= n_layers
     with np.errstate(over="ignore"):  # e^{-a} overflowing gives q = 0, its limit
         q1 = engine.reduced_softmax(u1[0][None])
-    return _taped_run(compiled, inputs, engine._full(1.0 - q1[0], q1))
+    return _taped_run(compiled, inputs, np.stack([1.0 - q1[0], q1[0]], axis=1))
 
 
 def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrace:

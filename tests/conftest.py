@@ -40,9 +40,9 @@ def replay(trace):
     for gs, rec in enumerate(trace.tape):
         m, ls = divmod(gs, len(steps))
         unary, tables, ops = trace.inputs[m]
-        verts = steps[ls].verts
-        a = engine.block_activations(unary[:, verts], tables, steps[ls], rec.q_read_km, ops[ls])
-        q[:, verts] = engine.reduced_softmax(a)
+        st = steps[ls]
+        a = engine.block_activations(unary[:, st.sites], tables, st, rec.q_read_km, ops[ls])
+        q[:, st.verts] = engine.reduced_softmax(a)
     return np.hstack([1.0 - q.sum(axis=0)[:, None], q.T])
 
 

@@ -152,6 +152,9 @@ class TestTrainMfn:
         assert model["tied"] is True
 
 
+LAYERS_ERROR = "layers must be a list of CRF parameter objects; expected an MFN model"
+
+
 class TestErrors:
     def test_unknown_flag_is_validation_failure(self, capsys):
         code, _, _ = run_cli(capsys, "run-mf", "--bogus", "x")
@@ -241,8 +244,8 @@ class TestErrors:
     @pytest.mark.parametrize("command, payload, expected", [
         ("run-mf", dict(theta0().to_json_dict(), p_h=None), "CRF parameter object"),
         ("run-mf", dict(theta0().to_json_dict(), w=[1.0, 2.0]), "CRF parameter object"),
-        ("eval", {"tied": True, "layers": "x"}, "MFN model"),
-        ("eval", {"tied": True, "layers": [[1, 2]]}, "MFN model"),
+        ("eval", {"tied": True, "layers": "x"}, LAYERS_ERROR),
+        ("eval", {"tied": True, "layers": [[1, 2]]}, LAYERS_ERROR),
         ("run-mf", dict(theta0().to_json_dict(), p_h=True), "p_h must hold finite numbers; "
          "expected a CRF parameter object"),
         ("run-mf", dict(theta0().to_json_dict(), w=[True] * 26), "w must hold finite numbers"),
@@ -254,6 +257,8 @@ class TestErrors:
         ("eval", {"tied": "yes", "layers": [theta0().to_json_dict()]}, "tied must be true or "
          "false; expected an MFN model"),
         ("eval", {"tied": "false", "layers": [theta0().to_json_dict()]}, "tied must be true"),
+        *[("eval", {"tied": True, "layers": layers}, LAYERS_ERROR)
+          for layers in [{"w": 1}, [1, 2], [None], 3, [[1]]]],
     ])
     def test_parameters_of_the_wrong_type_name_the_format(self, tiny_dataset, tmp_path, capsys,
                                                           command, payload, expected):
