@@ -17,7 +17,7 @@ from . import crf, data, meanfield, mfn
 from .crf import CrfParams
 from .engine import checkerboard_schedule, raster_schedule
 from .mfn import DiscProtocol, MfnParams
-from .mrf import softmax_init, unnormalized_kl_arrays
+from .mrf import decode, softmax_init, unnormalized_kl_arrays
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -229,7 +229,7 @@ def cmd_run_mf(args) -> int:
         )
         if not math.isfinite(kls[-1]):  # JSON has no infinity
             raise FloatingPointError(f"{args.data}: files[{i}]: unnormalized KL is {kls[-1]}")
-        accs.append(float(np.mean(np.argmax(q.probs, axis=1) == x_hat.ravel())))
+        accs.append(float(np.mean(decode(q.probs) == x_hat.ravel())))
     result = {
         "iters": args.iters,
         "schedule": args.schedule,

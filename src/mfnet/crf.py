@@ -11,7 +11,7 @@ import numpy as np
 
 from . import meanfield
 from .engine import Schedule, checkerboard_schedule
-from .mrf import FactorialDistribution, GraphTopology, PairwiseMRF, softmax_init
+from .mrf import FactorialDistribution, GraphTopology, PairwiseMRF, decode, softmax_init
 
 WINDOW = 5
 N_FEATURES = WINDOW * WINDOW + 1  # 5x5 window plus constant 1
@@ -67,11 +67,23 @@ def theta0() -> CrfParams:
 @lru_cache(maxsize=8)
 def grid_graph(height: int, width: int) -> GraphTopology:
     """4-connected grid: the height*(width-1) horizontal edges come first,
-    then the vertical ones; `potts_tables` and `theta_gradient` rely on it."""
+    then the vertical ones; `potts_tables`, `theta_gradient` and `edge_views` rely on it."""
     idx = np.arange(height * width).reshape(height, width)
     h_edges = np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1)
     v_edges = np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1)
     return GraphTopology(n_vertices=height * width, edges=np.concatenate([h_edges, v_edges]))
+
+
+def edge_views(height: int, width: int, sites: Sequence[np.ndarray], edges: Sequence[np.ndarray]):
+    """Per edge direction of the grid, horizontal then vertical: the (lo, hi)
+    endpoint views of each (n,) site array and the part of each (E,) edge
+    array, all shaped like that direction's (height, width-1) or
+    (height-1, width) grid of edges, so that slices replace index arrays."""
+    n_h = height * (width - 1)  # horizontal edges come first
+    grids = [s.reshape(height, width) for s in sites]
+    for lo, hi, part, shape in ((np.s_[:, :-1], np.s_[:, 1:], np.s_[:n_h], (height, width - 1)),
+                                (np.s_[:-1], np.s_[1:], np.s_[n_h:], (height - 1, width))):
+        yield [(g[lo], g[hi]) for g in grids], [e[part].reshape(shape) for e in edges]
 
 
 # id(image) -> (weak reference to the image, its features). Training loops
@@ -143,10 +155,10 @@ def cl_gradient(y: np.ndarray, x_hat: np.ndarray, q: FactorialDistribution) -> n
     """
     y = np.asarray(y, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.int64).reshape(y.size)
-    lo, hi = grid_graph(*y.shape).edges.T
-    agree = (x_hat[lo] == x_hat[hi]).astype(np.float64)
-    expected_agree = np.sum(q.probs.take(lo, axis=0) * q.probs.take(hi, axis=0), axis=1)
-    return theta_gradient(y, x_hat - q.probs[:, 1], agree - expected_agree)
+    agree_gap = np.empty(grid_graph(*y.shape).n_edges)
+    for [x, a, b], [out] in edge_views(*y.shape, [x_hat, *q.probs.T], [agree_gap]):
+        np.subtract(x[0] == x[1], a[0] * a[1] + b[0] * b[1], out=out)
+    return theta_gradient(y, x_hat - q.probs[:, 1], agree_gap)
 
 
 def mf_marginals(
@@ -165,7 +177,7 @@ def predict_mf(
 ) -> np.ndarray:
     """Per-pixel argmax labels from mean field marginals, as an H x W image."""
     q = mf_marginals(y, theta, n_iters, schedule)
-    return np.argmax(q.probs, axis=1).reshape(np.asarray(y).shape)
+    return decode(q.probs).reshape(np.asarray(y).shape)
 
 
 def train_baseline(
@@ -197,7 +209,7 @@ def train_baseline(
         for y, x_hat in images:
             q = mf_marginals(y, theta, mf_iters, schedule)
             grad += cl_gradient(y, x_hat, q)
-            correct += int(np.sum(np.argmax(q.probs, axis=1) == x_hat))
+            correct += int(np.sum(decode(q.probs) == x_hat))
             total += x_hat.size
         # Ascent on the likelihood is descent on its negation, without momentum.
         return None, -grad, {"train_accuracy": correct / max(total, 1)}

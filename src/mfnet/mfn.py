@@ -19,10 +19,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import engine
+from . import crf, engine
 from .crf import CrfParams, build_mrf, feature_matrix, grid_graph, potts_tables, theta_gradient
 from .engine import CompiledSchedule, Schedule, checkerboard_schedule
-from .mrf import LOG_FLOOR, PairwiseMRF, row_softmax, unnormalized_kl_arrays
+from .mrf import LOG_FLOOR, PairwiseMRF, decode, row_softmax, unnormalized_kl_arrays
 
 
 @dataclass
@@ -207,13 +207,14 @@ def backward(
     dunary, dtables, gq0 = engine.backward_unrolled(
         trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
-    lo, hi = trace.compiled.topology.edges.T
-    d_penalty = [(dt[0, 0] - du[0].take(lo) - du[0].take(hi)) + dt[0, 0]
-                 for du, dt in zip(dunary, dtables)]
+    y = np.asarray(y, dtype=np.float64)
+    d_penalty = [np.empty(dt.shape[-1]) for dt in dtables]
+    for du, dt, dp in zip(dunary, dtables, d_penalty):
+        for [(u_lo, u_hi)], [t, out] in crf.edge_views(*y.shape, [du[0]], [dt[0, 0], dp]):
+            np.add(t - u_lo - u_hi, t, out=out)
     # After the penalties: no table reads q0, so its fold reaches only dw.
     dunary[0] += trace.q0 * (gq0 - gq0 * trace.q0)
 
-    y = np.asarray(y, dtype=np.float64)
     per_layer = [theta_gradient(y, du[0], dp) for du, dp in zip(dunary, d_penalty)]
     if params.tied:
         return [np.sum(per_layer, axis=0)]
@@ -222,7 +223,7 @@ def backward(
 
 def predict(trace: ForwardTrace) -> np.ndarray:
     """Per-site argmax of the output distribution; ties go to the smallest label."""
-    return np.argmax(trace.q_final, axis=1)
+    return decode(trace.q_final)
 
 
 def sgd_momentum(

@@ -93,11 +93,27 @@ class FactorialDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError("probs must be (n_vertices, K)")
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
             raise ValueError("probabilities out of [0, 1]")
-        if np.max(np.abs(probs.sum(axis=1) - 1.0)) > 1e-9:
+        # A loop over labels, as a short-axis sum is slow; below 8 labels it adds
+        # in numpy's order. Rows of no labels sum to 0.0 and fail.
+        total = sum((probs[:, k] for k in range(probs.shape[1])), 0.0)
+        if np.max(np.abs(total - 1.0)) > 1e-9:
             raise ValueError("rows must sum to 1")
         object.__setattr__(self, "probs", probs)
+
+
+def decode(probs: np.ndarray) -> np.ndarray:
+    """Each row's label of largest probability, ties to the smallest label,
+    for finite (n, K) input: numpy's argmax along the label axis, as a loop
+    over labels with a strict `>` (a reduction along a short axis is slow)."""
+    best, labels = probs[:, 0], np.zeros(len(probs), dtype=np.intp)
+    for k in range(1, probs.shape[1]):
+        labels[probs[:, k] > best] = k
+        best = np.maximum(best, probs[:, k])
+    return labels
 
 
 def validate_assignment(mrf: PairwiseMRF, x: np.ndarray) -> np.ndarray:

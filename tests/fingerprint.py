@@ -7,12 +7,13 @@ Each line holds an artefact's name, its shape and the first 16 hex digits of
 a sha256 over its dtype, shape and bytes. `--save` writes the arrays to an
 .npz file; `--against` reads one written before and adds each artefact's
 largest absolute difference from it, relative to the largest absolute entry
-of the saved array. The artefacts: 30-sweep mean field and a 3-layer untied
-network (q, activations, and the hinge and KL gradients on theta) on a
-50x100 letter image under both schedules; raw forward and reverse engine
-outputs on seeded random graphs at K = 2, 3 and 4; and the compiled step
-fields of both 50x100 schedules and of the random graphs. pytest does not
-collect this file; `test_fingerprint.py` runs it.
+of the saved array. The artefacts: on a 50x100 letter image under both
+schedules, 30-sweep mean field (q, the CRF likelihood gradient on theta at
+that q and `predict_mf`'s labels) and a 3-layer untied network (q,
+activations, and the hinge and KL gradients on theta); raw forward and
+reverse engine outputs on seeded random graphs at K = 2, 3 and 4; and the
+compiled step fields of both 50x100 schedules and of the random graphs.
+pytest does not collect this file; `test_fingerprint.py` runs it.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from mfnet import data, engine, meanfield, mfn
-from mfnet.crf import CrfParams, build_mrf, grid_graph, theta0
+from mfnet.crf import CrfParams, build_mrf, cl_gradient, grid_graph, predict_mf, theta0
 from mfnet.mrf import GraphTopology, row_softmax, softmax_init
 
 H, W, LAYERS, SWEEPS = 50, 100, 3, 30
@@ -85,6 +86,8 @@ def artefacts(theta: CrfParams | None = None) -> dict:
         out[f"compile.{name}"] = step_fields(engine.compile_schedule(grid_graph(H, W), schedule))
         q, _ = meanfield.run(target, softmax_init(target), SWEEPS, schedule)
         out[f"meanfield{SWEEPS}.{name}.q"] = q.probs
+        out[f"cl.{name}"] = cl_gradient(y, clean, q)
+        out[f"predict_mf{SWEEPS}.{name}"] = predict_mf(y, theta, SWEEPS, schedule)
         trace = mfn.forward(y, params, LAYERS, schedule)
         out[f"forward.{name}.q"], out[f"forward.{name}.a"] = trace.q_final, trace.a_final
         _, ga = mfn.hinge_loss_grad(trace.a_final, clean)

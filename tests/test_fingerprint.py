@@ -36,6 +36,6 @@ def test_a_perturbed_theta_changes_the_gradient_lines():
     arts = fingerprint.artefacts()
     before, after = fingerprint.lines(arts), fingerprint.lines(fingerprint.artefacts(nudged))
     changed = {name for name, b, a in zip(arts, before, after) if b != a}
-    gradients = {name for name in arts if name.startswith(("hinge.", "kl."))}
+    gradients = {name for name in arts if name.startswith(("hinge.", "kl.", "cl."))}
     assert gradients and gradients <= changed
     assert not any(name.startswith(("compile.", "random.")) for name in changed)
