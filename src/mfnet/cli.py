@@ -31,8 +31,10 @@ POSITIVE_FLAGS = ("c", "tol")
 # gen-data holds both splits until it writes them: 160 KB per n, 80 MB (78 measured).
 MAX_IMAGES = 500
 MAX_SWEEPS = 10**6  # mean field sweeps: one 8-byte list entry each, 8 MB
-# Network layers: per layer of an image, at most 470 KB (untied, raster:
-# inputs, tape and reverse-pass gradients), 47 MB; 200 layers measured 94 MB.
+# Network layers: per layer of an image, at most 820 KB (untied, checkerboard,
+# every layer its own tables: inputs, step operators and the transposes the
+# reverse pass stores, 256 KB of them; tape and reverse-pass gradients; 570 KB
+# on raster), 82 MB; one 100-layer forward and reverse pass measured 90 MB.
 MAX_LAYERS = 100
 MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
 # grad-check --max-layers; the untied checks grow with its cube (15 s at 10 and --size 6).

@@ -29,19 +29,22 @@ label-major: q, unary potentials and their gradients are (K-1, n), message
 tables are (K-1, K-1, 2E) and tape arrays are (K-1, rows). Table columns
 are messages in step order, and inside a step sorted stably by target,
 the compressed-sparse-row order; `message_of` maps edges to them, and
-only this module reads it. The reverse pass sums each edge's two message
-gradients and returns (K-1, K-1, E) table gradients in edge order;
-`lift_gradients` takes its gradients to the full arrays through
-((K-1)^2 + 2(K-1), E) ones. With K small and a block step touching
-thousands of sites, each softmax, reduction and product then runs over
-long contiguous rows instead of a short last axis. A step with at least
-`SPARSE_MIN_MESSAGES` messages sums them with one stored CSR product:
-`_table_inputs` builds one (K-1)B x (K-1)R operator per table set from
-the step's row pointers (its `pos` counts), columns (`read_idx`) and
-table slice, so the forward builds nothing per image. Smaller steps, and
-the reverse pass, sum each label row's messages with one `bincount` over
-the step's `BlockStep` indices. Both forward kernels sum each target's
-messages from 0 in message order, so at K = 2 they agree bit for bit.
+only this module reads it. The reverse pass returns (K-1, K-1, E) table
+gradients in edge order, each edge's two message gradients summed, once per
+layer from the layer's unary gradients and tape reads; `lift_gradients`
+takes its gradients to the full arrays through ((K-1)^2 + 2(K-1), E) ones.
+With K small and a block step touching thousands of sites, each softmax,
+reduction and product then runs over long contiguous rows instead of a
+short last axis. A step with at least `SPARSE_MIN_MESSAGES` messages sums
+them with one stored CSR product: `_table_inputs` builds one (K-1)B x
+(K-1)R operator per table set from the step's row pointers (its `pos`
+counts), columns (`read_idx`) and table slice, so the forward builds
+nothing per image. Smaller steps sum each label row's messages with one
+`bincount` over the step's `BlockStep` indices. The reverse pass makes the
+same choice for the gradient of a step's read sites: the product with the
+operator's transpose, stored as CSR on the table set's first reverse pass,
+or per-message products scattered by `bincount`. Each kernel sums a row's
+terms from 0 in message order, so at K = 2 the two agree bit for bit.
 
 Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
@@ -150,6 +153,12 @@ class BlockStep:
     reads: np.ndarray     # (R,) distinct sites the messages read, in step order
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
 
+    @cached_property
+    def read_order(self) -> np.ndarray:
+        """The messages sorted stably by read site: the CSR order of the
+        step operator's transpose. Image-free, so sorted once per step."""
+        return np.argsort(self.read_idx, kind="stable")
+
 
 # `_table_inputs` stores a step's message sum as one CSR product, built from
 # the step's own fields and its slice of the tables, from this many messages
@@ -171,6 +180,12 @@ class CompiledSchedule:
     # inverse: the position of each site in that order.
     order: np.ndarray
     rank: np.ndarray
+    # (2, E) for the message into the lower (row 0) / upper (row 1) end of
+    # edge e: that end's position in step order, and the position of the site
+    # the message reads in every step's `reads` side by side, the order of a
+    # layer's tape reads.
+    targets: np.ndarray
+    read_pos: np.ndarray
     _table_inputs: dict = field(default_factory=dict, repr=False)
 
 
@@ -238,9 +253,11 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         )
         for i, m in enumerate(map(slice, m_start[:-1], m_start[1:]))
     )
-    for a in (verts, rank):
+    message_of = np.argsort(order).reshape(2, E)
+    targets, read_pos = rank[topology.edges.T], inverse.reshape(-1)[message_of]
+    for a in (verts, rank, targets, read_pos):
         a.flags.writeable = False
-    return CompiledSchedule(topology, steps, np.argsort(order).reshape(2, E), verts, rank)
+    return CompiledSchedule(topology, steps, message_of, verts, rank, targets, read_pos)
 
 
 @lru_cache(maxsize=None)
@@ -258,6 +275,25 @@ def _table_map(K: int) -> np.ndarray:
 TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
+def _label_csr(rows: np.ndarray, cols: np.ndarray, tab: np.ndarray, shape) -> csr_array:
+    """A (K-1)B x (K-1)C matrix on label-major flattened columns, (B, C) =
+    `shape`: row k*B + b holds, entry by entry in the given order and then
+    by column label l, `tab[k, l, d]` of every entry d with `rows[d] = b`,
+    in column l*C + `cols[d]`. `rows` is non-decreasing, so its counts give
+    the row pointers."""
+    # Imported here: a run whose steps are all small never loads scipy.sparse.
+    from scipy.sparse import csr_array
+
+    (B, C), K1, M = shape, len(tab), rows.size
+    indptr = np.zeros(B + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=B), out=indptr[1:])
+    data = tab.swapaxes(1, 2).reshape(-1)
+    cols = np.tile((cols.astype(np.int32)[:, None] + C * np.arange(K1, dtype=np.int32)).ravel(), K1)
+    ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
+    indptr = np.concatenate([indptr[:1], ends.ravel()])
+    return csr_array((data, cols, indptr), shape=(K1 * B, K1 * C))
+
+
 def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     """The message sum of a step, as a (K-1)B x (K-1)R matrix on label-major
     flattened q columns: row k*B + b holds, message by message in step
@@ -266,25 +302,45 @@ def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     so `pos` counts give the row pointers, `read_idx` the columns and its
     table slice the data: at K = 2 a view of the tables, which scipy keeps
     when the step holds at least half the messages (each checkerboard step)."""
-    # Imported here: a run whose steps are all small never loads scipy.sparse.
-    from scipy.sparse import csr_array
+    shape = (st.sites.stop - st.sites.start, st.reads.size)
+    return _label_csr(st.pos, st.read_idx, tables[:, :, st.msgs], shape)
 
-    K1, B, M = len(tables), st.sites.stop - st.sites.start, st.pos.size
-    indptr = np.zeros(B + 1, dtype=np.int32)
-    np.cumsum(np.bincount(st.pos, minlength=B), out=indptr[1:])
-    cols = st.read_idx.astype(np.int32)
-    data = tables[:, :, st.msgs].swapaxes(1, 2).reshape(-1)
-    cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
-    ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
-    indptr = np.concatenate([indptr[:1], ends.ravel()])
-    return csr_array((data, cols, indptr), shape=(K1 * B, K1 * st.reads.size))
+
+def _transposed_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
+    """The transpose of `_step_operator(st, tables)`, (K-1)R x (K-1)B, as CSR:
+    row l*R + r holds, message by message in step order and then by target
+    label k, the entries T'[k, l] of every message that reads site r. The
+    messages in `st.read_order` give its row pointers and columns; at K = 2
+    the arrays are those of `op.T.tocsr()`, without a sort per table set."""
+    ro = st.read_order
+    shape = (st.reads.size, st.sites.stop - st.sites.start)
+    tab = tables[:, :, st.msgs].swapaxes(0, 1)[:, :, ro]
+    return _label_csr(st.read_idx[ro], st.pos[ro], tab, shape)
+
+
+class StepOperators(tuple):
+    """The stored operator of each step of a table set (`_step_operator`,
+    None for steps with fewer than SPARSE_MIN_MESSAGES messages). Their CSR
+    transposes, `transposed`, are built on the table set's first reverse
+    pass and kept with it, so forward-only runs build none."""
+
+    def __new__(cls, steps: Sequence[BlockStep], tables: np.ndarray):
+        ops = super().__new__(cls, (
+            _step_operator(st, tables) if st.pos.size >= SPARSE_MIN_MESSAGES else None
+            for st in steps))
+        ops._steps, ops._tables = steps, tables
+        return ops
+
+    @cached_property
+    def transposed(self) -> tuple:
+        return tuple(None if op is None else _transposed_operator(st, self._tables)
+                     for st, op in zip(self._steps, self))
 
 
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     """The image-free part of `reduced_layer`: message constants summed into
     their targets (K-1, n) in step order, the reduced tables, and each
-    step's operator (`_step_operator`, None for steps with fewer than
-    SPARSE_MIN_MESSAGES messages). Stored for read-only arrays that own
+    step's operator (`StepOperators`). Stored for read-only arrays that own
     their data, holding each so its id is not reused; others are rebuilt."""
     store, key = compiled._table_inputs, id(pairwise)
     frozen = not pairwise.flags.writeable and pairwise.base is None
@@ -295,7 +351,7 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     parts = _table_map(K) @ np.reshape(pairwise, (E, K * K)).T
     # Per label row: the constants into each edge's lower endpoint, then its upper one.
     lower, upper = parts[K1 * K1 : K1 * K], parts[K1 * K :]
-    targets = compiled.rank[compiled.topology.edges.T.ravel()]
+    targets = compiled.targets.ravel()
     const = np.empty((K1, n))
     for k in range(K1):
         const[k] = np.bincount(targets, np.concatenate([lower[k], upper[k]]), minlength=n)
@@ -303,9 +359,7 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     R = parts[: K1 * K1].reshape(K1, K1, E)
     tables = np.empty((K1, K1, 2 * E))
     tables[:, :, compiled.message_of.ravel()] = np.concatenate([R, R.swapaxes(0, 1)], axis=2)
-    ops = tuple(_step_operator(st, tables) if st.pos.size >= SPARSE_MIN_MESSAGES else None
-                for st in compiled.steps)
-    out = const, tables, ops
+    out = const, tables, StepOperators(compiled.steps, tables)
     if frozen:
         for a in (const, tables):
             a.flags.writeable = False
@@ -483,42 +537,51 @@ def backward_unrolled(
         raise ValueError("the reverse pass needs at least one layer")
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    n, (lower, upper) = compiled.topology.n_vertices, compiled.message_of
-    order, K1 = compiled.order, inputs[0][0].shape[0]
-    # A sweep updates every site once and sends every message once, so each
-    # entry of these is written exactly once per layer; every layer reuses
-    # dmsg, its table gradient in message order.
+    n, order, K1 = compiled.topology.n_vertices, compiled.order, inputs[0][0].shape[0]
+    # A sweep updates every site once, so each entry is written once per layer.
     dunary, dtables = [np.empty((K1, n)) for _ in range(n_layers)], [None] * n_layers
-    dmsg = np.empty((K1, K1, 2 * compiled.topology.n_edges))
     # Column 0 of the output q is one minus the others.
     g = None if gq_final is None else np.transpose(np.asarray(gq_final, dtype=np.float64))
     gq = np.zeros((K1, n)) if g is None else (g[1:] - g[:1]).take(order, axis=1)
     ga = np.transpose(ga_final)[1:].take(order, axis=1) if ga_final is not None else None
     for m in range(n_layers - 1, -1, -1):
-        for ls in range(n_steps - 1, -1, -1):
-            st, rec = compiled.steps[ls], tape[m * n_steps + ls]
+        _, tables, ops = inputs[m]
+        # Operators in a plain tuple have no stored transposes: gather route.
+        ops_t = ops.transposed if isinstance(ops, StepOperators) else (None,) * n_steps
+        records, du = tape[m * n_steps : (m + 1) * n_steps], dunary[m]
+        ga_m = ga if m == n_layers - 1 else None
+        for st, rec, op_t in zip(compiled.steps[::-1], records[::-1], ops_t[::-1]):
             g_b, qo = gq[:, st.sites], rec.q_out_km
             dot = g_b[0] * qo[0]
             for k in range(1, K1):
                 dot += g_b[k] * qo[k]
             da = qo * (g_b - dot)
-            if ga is not None and m == n_layers - 1:
-                da += ga[:, st.sites]
-            da_msg = da.take(st.pos, axis=1)
-            q_msg = rec.q_read_km.take(st.read_idx, axis=1)
-            np.multiply(da_msg[:, None], q_msg, out=dmsg[:, :, st.msgs])
-            tab = inputs[m][1][:, :, st.msgs]
-            g_read = tab[0] * da_msg[0]
-            for k in range(1, K1):
-                g_read += tab[k] * da_msg[k]
+            if ga_m is not None:
+                da += ga_m[:, st.sites]
+            du[:, st.sites] = da
             gq[:, st.sites] = 0.0
-            dunary[m][:, st.sites] = da
+            # The read sites' gradient, through the forward's kernel choice;
+            # row by row, as one 2-D indexed add takes twice the time.
+            if op_t is not None:
+                g_read = (op_t @ da.reshape(-1)).reshape(K1, -1)
+                for k in range(K1):
+                    gq[k][st.reads] += g_read[k]
+                continue
+            da_msg, tab = da.take(st.pos, axis=1), tables[:, :, st.msgs]
+            g_msg = tab[0] * da_msg[0]
+            for k in range(1, K1):
+                g_msg += tab[k] * da_msg[k]
             for k in range(K1):
-                gq[k][st.reads] += np.bincount(st.read_idx, g_read[k], minlength=st.reads.size)
-        # Each edge's two oriented copies summed, the upper one transposed.
-        dtables[m] = dmsg.take(lower, axis=2) + dmsg.swapaxes(0, 1).take(upper, axis=2)
+                gq[k][st.reads] += np.bincount(st.read_idx, g_msg[k], minlength=st.reads.size)
+        # Each message's table gradient is da[target] times the q it read; an
+        # edge sums its two, the one into its upper end transposed.
+        q_read = np.concatenate([rec.q_read_km for rec in records], axis=1)
+        da_e = du.take(compiled.targets, axis=1)
+        q_e = q_read.take(compiled.read_pos, axis=1)
+        dtables[m] = da_e[:, None, 0] * q_e[None, :, 0]
+        dtables[m] += q_e[:, None, 1] * da_e[None, :, 1]
     rank = compiled.rank
-    return [du.take(rank, axis=1) for du in dunary], dtables, gq.take(rank, axis=1)
+    return [d.take(rank, axis=1) for d in dunary], dtables, gq.take(rank, axis=1)
 
 
 def lift_gradients(

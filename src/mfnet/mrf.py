@@ -93,6 +93,8 @@ class FactorialDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 2:
             raise ValueError("probs must be (n_vertices, K)")
+        if not len(probs):
+            raise ValueError(f"probs of shape {probs.shape} has no rows")
         if not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite")
         if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):

@@ -1,7 +1,15 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from mfnet import engine
+from mfnet.engine import Schedule, sequential_schedule
 from mfnet.mrf import GraphTopology, PairwiseMRF
+
+POTENTIAL = st.floats(-5.0, 5.0, allow_nan=False)
 
 
 def random_grid_mrf(rng, height, width, K=2, scale=2.0):
@@ -31,10 +39,52 @@ def random_mrf(rng, n_vertices, K, edge_p=0.5, scale=1.5):
     )
 
 
+@st.composite
+def problems(draw):
+    """(per-layer MRFs on one random graph, a random schedule over its vertices)."""
+    n = draw(st.integers(1, 7))
+    K = draw(st.integers(2, 4))
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    topo = GraphTopology(n_vertices=n, edges=np.array(sorted(chosen), dtype=np.int64))
+    n_layers = draw(st.integers(1, 4))
+    mrfs = [
+        PairwiseMRF(
+            topology=topo,
+            K=K,
+            unary=draw(arrays(np.float64, (n, K), elements=POTENTIAL)),
+            pairwise=draw(arrays(np.float64, (topo.n_edges, K, K), elements=POTENTIAL)),
+        )
+        for _ in range(n_layers)
+    ]
+    order = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        return mrfs, sequential_schedule(tuple(order))
+    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    blocks, block = [], [order[0]]
+    for v, cut in zip(order[1:], cuts):
+        if cut:
+            blocks.append(tuple(block))
+            block = []
+        block.append(v)
+    blocks.append(tuple(block))
+    return mrfs, Schedule(tuple(blocks))
+
+
+@contextmanager
+def operators_on_every_step():
+    """While open, `layer_inputs` builds an operator for every step. (Not the
+    monkeypatch fixture: Hypothesis runs a test's examples in one fixture scope.)"""
+    saved = engine.SPARSE_MIN_MESSAGES
+    engine.SPARSE_MIN_MESSAGES = 0
+    try:
+        yield
+    finally:
+        engine.SPARSE_MIN_MESSAGES = saved
+
+
 def replay(trace):
     """Recompute a forward trace's output from its recorded reads alone."""
-    from mfnet import engine
-
     q = trace.q0.copy()
     steps = trace.compiled.steps
     for gs, rec in enumerate(trace.tape):

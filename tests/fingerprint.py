@@ -11,8 +11,10 @@ of the saved array. The artefacts: on a 50x100 letter image under both
 schedules, 30-sweep mean field (q, the CRF likelihood gradient on theta at
 that q and `predict_mf`'s labels) and a 3-layer untied network (q,
 activations, and the hinge and KL gradients on theta); raw forward and
-reverse engine outputs on seeded random graphs at K = 2, 3 and 4; and the
-compiled step fields of both 50x100 schedules and of the random graphs.
+reverse engine outputs on seeded random graphs at K = 2, 3 and 4; the
+compiled step fields of both 50x100 schedules and of the random graphs;
+and raw reverse outputs of a 3-layer K = 3 network on a 30x30
+checkerboard, whose steps are large enough for the stored operators.
 pytest does not collect this file; `test_fingerprint.py` runs it.
 """
 from __future__ import annotations
@@ -113,6 +115,19 @@ def artefacts(theta: CrfParams | None = None) -> dict:
                         for g in engine.lift_gradients(compiled, du, dt)]
         out[f"random.K{K}.forward"], out[f"random.K{K}.reverse"] = flat(forward), flat(reverse)
     out["compile.random"] = np.concatenate(compiled_fields)
+
+    # The operator path at K > 2: 1,740 messages per checkerboard step.
+    rng, K, side = np.random.default_rng(2), 3, 30
+    topo = grid_graph(side, side)
+    compiled = engine.compile_schedule(topo, engine.checkerboard_schedule(side, side))
+    layers = [(rng.uniform(-2, 2, (topo.n_vertices, K)), rng.uniform(-2, 2, (topo.n_edges, K, K)))
+              for _ in range(LAYERS)]
+    inputs, tape = engine.layer_inputs(compiled, layers), []
+    q0 = rng.dirichlet(np.ones(K), size=topo.n_vertices)
+    q, _ = engine.run_unrolled(inputs, q0, compiled, tape=tape)
+    gq, ga = rng.normal(size=(2, *q.shape))
+    dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
+    out[f"grid{side}.K{K}.reverse"] = flat([*dunary, *dtables, gq0])
     return out
 
 

@@ -1,6 +1,6 @@
 """Per-call timings of the library's parts, in microseconds, on one image.
 
-    PYTHONPATH=src python tests/percall.py [--repeats 9]
+    PYTHONPATH=src python tests/percall.py [--repeats 9] [--only TEXT]
 
 Each row is the minimum over the repeats of one `timeit` loop, whose
 length `Timer.autorange` picks (at least 0.2 s), divided by its call
@@ -8,8 +8,8 @@ count. The inputs are those of `fingerprint.py`: its seeded 50x100 letter
 image, `theta0()`, and a 3-layer untied network on the checkerboard
 schedule unless a row says raster. BLAS is pinned to one thread, as in
 `perfbench`. On a shared host one row can move by a third between runs,
-so compare two versions in alternating runs. pytest does not collect
-this file.
+so compare two versions in alternating runs; `--only backward_unrolled`
+times just the reverse-pass rows. pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -39,17 +39,19 @@ def rows() -> dict:
     q_mf, _ = meanfield.run(target, q0, SWEEPS, GRID_SCHEDULES["checkerboard"])
     traces = {name: mfn.forward(y, params, LAYERS, s) for name, s in GRID_SCHEDULES.items()}
     ga = {name: mfn.hinge_loss_grad(t.a_final, x_hat)[1] for name, t in traces.items()}
+    gq = {name: mfn.kl_grad_q(t.q_final, target) for name, t in traces.items()}
     trace, schedule = traces["checkerboard"], GRID_SCHEDULES["checkerboard"]
 
-    def reverse(name):
-        t = traces[name]
-        return lambda: engine.backward_unrolled(t.compiled, t.tape, t.inputs, None, ga[name])
+    def reverse(name, kl=False):
+        t, g = traces[name], (gq[name], None) if kl else (None, ga[name])
+        return lambda: engine.backward_unrolled(t.compiled, t.tape, t.inputs, *g)
 
     return {
         "engine.run_unrolled, taped": lambda: engine.run_unrolled(
             trace.inputs, q0.probs, trace.compiled, tape=[]),
         "engine.backward_unrolled, hinge gradient": reverse("checkerboard"),
-        "the same, raster": reverse("raster"),
+        "engine.backward_unrolled, hinge, raster": reverse("raster"),
+        "engine.backward_unrolled, KL, raster": reverse("raster", kl=True),
         "mfn.forward": lambda: mfn.forward(y, params, LAYERS, schedule),
         "mfn.backward, hinge gradient": lambda: mfn.backward(
             trace, y, params, ga_final=ga["checkerboard"]),
@@ -74,12 +76,17 @@ def per_call_us(call, repeats: int) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9, help="timeit repeats per row")
+    parser.add_argument("--only", default="", metavar="TEXT",
+                        help="time only the rows whose label contains TEXT")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    chosen = {label: call for label, call in rows().items() if args.only in label}
+    if not chosen:
+        parser.error(f"no row label contains {args.only!r}")
     print(f"# Python {sys.version.split()[0]}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; minimum of {args.repeats} repeats")
-    for label, call in rows().items():
+    for label, call in chosen.items():
         print(f"{label:<42} {per_call_us(call, args.repeats):10.1f} us")
     return 0
 

@@ -1,6 +1,5 @@
 """Property tests of the shared engine over random graphs, label counts and schedules."""
 import warnings
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_grid_mrf, replay
+from conftest import operators_on_every_step, problems, random_grid_mrf, replay
 from mfnet import engine, meanfield
 from mfnet.crf import grid_graph, theta0
 from mfnet.engine import Schedule, sequential_schedule
@@ -16,45 +15,10 @@ from mfnet.mfn import MfnParams, forward, forward_mrfs
 from mfnet.mrf import (
     FactorialDistribution,
     GraphTopology,
-    PairwiseMRF,
     row_softmax,
     softmax_init,
     unnormalized_kl,
 )
-
-POTENTIAL = st.floats(-5.0, 5.0, allow_nan=False)
-
-
-@st.composite
-def problems(draw):
-    """(per-layer MRFs on one random graph, a random schedule over its vertices)."""
-    n = draw(st.integers(1, 7))
-    K = draw(st.integers(2, 4))
-    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    topo = GraphTopology(n_vertices=n, edges=np.array(sorted(chosen), dtype=np.int64))
-    n_layers = draw(st.integers(1, 4))
-    mrfs = [
-        PairwiseMRF(
-            topology=topo,
-            K=K,
-            unary=draw(arrays(np.float64, (n, K), elements=POTENTIAL)),
-            pairwise=draw(arrays(np.float64, (topo.n_edges, K, K), elements=POTENTIAL)),
-        )
-        for _ in range(n_layers)
-    ]
-    order = draw(st.permutations(range(n)))
-    if draw(st.booleans()):
-        return mrfs, sequential_schedule(tuple(order))
-    cuts = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-    blocks, block = [], [order[0]]
-    for v, cut in zip(order[1:], cuts):
-        if cut:
-            blocks.append(tuple(block))
-            block = []
-        block.append(v)
-    blocks.append(tuple(block))
-    return mrfs, Schedule(tuple(blocks))
 
 
 @settings(max_examples=80, deadline=None)
@@ -381,18 +345,6 @@ def _read_only_view(a):
     return view
 
 
-@contextmanager
-def _operators_on_every_step():
-    """While open, `layer_inputs` builds an operator for every step. (Not the
-    monkeypatch fixture: Hypothesis runs a test's examples in one fixture scope.)"""
-    saved = engine.SPARSE_MIN_MESSAGES
-    engine.SPARSE_MIN_MESSAGES = 0
-    try:
-        yield
-    finally:
-        engine.SPARSE_MIN_MESSAGES = saved
-
-
 @settings(max_examples=60, deadline=None)
 @given(problems())
 def test_stored_table_inputs_equal_fresh_ones(problem):
@@ -401,7 +353,7 @@ def test_stored_table_inputs_equal_fresh_ones(problem):
     compiled = engine.compile_schedule.__wrapped__(mrfs[0].topology, schedule)
     frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
     views = [(u, _read_only_view(p)) for u, p in frozen]
-    with _operators_on_every_step():
+    with operators_on_every_step():
         first = engine.layer_inputs(compiled, frozen)
         again = engine.layer_inputs(compiled, frozen)  # served from the store
         fresh = engine.layer_inputs(compiled, [(u.copy(), p.copy()) for u, p in frozen])
@@ -416,6 +368,31 @@ def test_stored_table_inputs_equal_fresh_ones(problem):
                 assert op is not stored
                 np.testing.assert_array_equal(op.toarray(), stored.toarray())
         assert all(a is not b for a, b in zip(built[0][2], built[1][2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_transposed_operators_are_built_on_the_first_reverse_pass(problem):
+    """A taped forward builds no transpose; the first reverse pass builds
+    each stored operator's transpose as CSR, kept with the table set."""
+    mrfs, schedule = problem
+    compiled = engine.compile_schedule.__wrapped__(mrfs[0].topology, schedule)
+    layers = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
+    with operators_on_every_step():
+        inputs = engine.layer_inputs(compiled, layers)
+    q0, tape = row_softmax(mrfs[0].unary), []
+    engine.run_unrolled(inputs, q0, compiled, tape=tape)
+    assert not any("transposed" in vars(ops) for _, _, ops in inputs)
+    engine.backward_unrolled(compiled, tape, inputs, np.ones_like(q0))
+    for (_, _, ops), (_, _, stored) in zip(inputs, engine.layer_inputs(compiled, layers)):
+        assert stored is ops and "transposed" in vars(ops)
+        for op, op_t in zip(ops, ops.transposed):
+            assert op_t.format == "csr"
+            np.testing.assert_array_equal(op_t.toarray(), op.toarray().T)
+            if mrfs[0].K == 2:
+                ref = op.T.tocsr()
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(op_t, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_table_store_is_bounded_and_skips_writable_arrays(rng):
@@ -498,7 +475,7 @@ def _check_message_order(compiled):
     source = np.argsort(compiled.message_of.ravel())  # e, or E + e for the upper end
     target, read = np.concatenate([lo, hi])[source], np.concatenate([hi, lo])[source]
     layer = np.zeros((topo.n_vertices, 2)), np.arange(4.0 * E).reshape(E, 2, 2)
-    with _operators_on_every_step():
+    with operators_on_every_step():
         ((_, tables, ops),) = engine.layer_inputs(compiled, [layer])
     for st, op in zip(compiled.steps, ops):
         pos, m = st.pos, source[st.msgs]

@@ -179,3 +179,9 @@ class TestUnnormalizedKl:
             FactorialDistribution(np.array([[0.7, 0.7]]))
         with pytest.raises(ValueError):
             FactorialDistribution(np.array([[1.2, -0.2]]))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (0, 0)])
+def test_a_distribution_without_rows_is_rejected_by_its_shape(shape):
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]}, {shape[1]}\) has no rows"):
+        FactorialDistribution(np.zeros(shape))

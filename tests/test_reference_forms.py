@@ -1,16 +1,21 @@
-"""The grid-slice and label-loop forms of `crf`, `mfn` and `mrf` against the
-edge-index and short-axis forms they replaced, which are kept here as the
-references: equal labels, the same accepted and rejected distributions, and
-28-vectors equal byte for byte."""
+"""The grid-slice and label-loop forms of `crf`, `mfn` and `mrf`, and the
+engine's reverse pass, against the edge-index, short-axis and
+message-ordered forms they replaced, which are kept here as the references:
+equal labels, the same accepted and rejected distributions, 28-vectors
+equal byte for byte, and reverse-pass gradients equal byte for byte at
+K = 2."""
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import operators_on_every_step, problems
 from mfnet import engine
 from mfnet.crf import CrfParams, cl_gradient, grid_graph, theta_gradient
 from mfnet.mfn import MfnParams, backward, forward
-from mfnet.mrf import FactorialDistribution, decode
+from mfnet.mrf import FactorialDistribution, decode, row_softmax
 
 EXAMPLES = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 TIES = [0.0, -0.0, 0.25, 0.5, 1.0, -3.0, 1e300]
@@ -136,3 +141,95 @@ def test_backward_equals_the_edge_gather(shape, n_layers, tied, raster, seed):
     got = backward(trace, y, params, gq, ga)
     want = backward_by_edges(trace, y, params, gq, ga)
     assert len(got) == len(want) and all(same_bits(g, r) for g, r in zip(got, want))
+
+
+def backward_by_messages(compiled, tape, inputs, gq_final=None, ga_final=None):
+    """`engine.backward_unrolled` as it was before it used the forward's
+    operators: each step gathers `da` per message, writes each message's
+    table gradient into one (K-1, K-1, 2E) array in message order and
+    scatters the read sites' gradient with `bincount`; each layer then
+    folds that array into edge order."""
+    n_layers, n_steps = len(inputs), len(compiled.steps)
+    n, (lower, upper) = compiled.topology.n_vertices, compiled.message_of
+    order, K1 = compiled.order, inputs[0][0].shape[0]
+    dunary, dtables = [np.empty((K1, n)) for _ in range(n_layers)], [None] * n_layers
+    dmsg = np.empty((K1, K1, 2 * compiled.topology.n_edges))
+    g = None if gq_final is None else np.transpose(np.asarray(gq_final, dtype=np.float64))
+    gq = np.zeros((K1, n)) if g is None else (g[1:] - g[:1]).take(order, axis=1)
+    ga = np.transpose(ga_final)[1:].take(order, axis=1) if ga_final is not None else None
+    for m in range(n_layers - 1, -1, -1):
+        for ls in range(n_steps - 1, -1, -1):
+            st_, rec = compiled.steps[ls], tape[m * n_steps + ls]
+            g_b, qo = gq[:, st_.sites], rec.q_out_km
+            dot = g_b[0] * qo[0]
+            for k in range(1, K1):
+                dot += g_b[k] * qo[k]
+            da = qo * (g_b - dot)
+            if ga is not None and m == n_layers - 1:
+                da += ga[:, st_.sites]
+            da_msg = da.take(st_.pos, axis=1)
+            q_msg = rec.q_read_km.take(st_.read_idx, axis=1)
+            np.multiply(da_msg[:, None], q_msg, out=dmsg[:, :, st_.msgs])
+            tab = inputs[m][1][:, :, st_.msgs]
+            g_read = tab[0] * da_msg[0]
+            for k in range(1, K1):
+                g_read += tab[k] * da_msg[k]
+            gq[:, st_.sites] = 0.0
+            dunary[m][:, st_.sites] = da
+            for k in range(K1):
+                gq[k][st_.reads] += np.bincount(st_.read_idx, g_read[k], minlength=st_.reads.size)
+        dtables[m] = dmsg.take(lower, axis=2) + dmsg.swapaxes(0, 1).take(upper, axis=2)
+    rank = compiled.rank
+    return [du.take(rank, axis=1) for du in dunary], dtables, gq.take(rank, axis=1)
+
+
+def reverse_arrays(compiled, tape, inputs, gq, ga, reverse=engine.backward_unrolled):
+    dunary, dtables, gq0 = reverse(compiled, tape, inputs, gq, ga)
+    return [*dunary, *dtables, gq0]
+
+
+@EXAMPLES
+@given(problem=problems(), every_step=st.booleans(), seeds=st.sampled_from(["q", "a", "both"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_backward_equals_the_message_ordered_form(problem, every_step, seeds, seed):
+    """Byte for byte at K = 2; at K = 3 and 4 a read-site gradient through an
+    operator sums over target labels per read site, not per message, so
+    each array is within 1e-13 of its largest entry."""
+    mrfs, schedule = problem
+    rng = np.random.default_rng(seed)
+    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    # Writable copies: rebuilt on every call, never served from the store.
+    with operators_on_every_step() if every_step else nullcontext():
+        inputs = engine.layer_inputs(compiled, [(m.unary, m.pairwise.copy()) for m in mrfs])
+    q0, tape = row_softmax(mrfs[-1].unary), []
+    engine.run_unrolled(inputs, q0, compiled, tape=tape)
+    gq = rng.normal(size=q0.shape) if seeds != "a" else None
+    ga = rng.normal(size=q0.shape) if seeds != "q" else None
+    got = reverse_arrays(compiled, tape, inputs, gq, ga)
+    want = reverse_arrays(compiled, tape, inputs, gq, ga, reverse=backward_by_messages)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if mrfs[0].K == 2 or not every_step:
+            assert same_bits(g, w)
+        else:
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-13 * np.max(np.abs(w), initial=0.0))
+
+
+@pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
+def test_backward_on_the_full_grid_equals_the_message_ordered_form(schedule_name):
+    """A 3-layer untied network on a 50x100 image, its tables served from
+    the store; the second reverse pass reuses the stored transposes."""
+    rng = np.random.default_rng(24)
+    y = rng.random((50, 100))
+    thetas = [CrfParams(w=rng.normal(0, 0.5, 26), p_h=rng.normal(), p_v=rng.normal())
+              for _ in range(3)]
+    schedule = (engine.raster_schedule(y.size) if schedule_name == "raster"
+                else engine.checkerboard_schedule(*y.shape))
+    trace = forward(y, MfnParams(False, thetas), 3, schedule)
+    gq, ga = rng.normal(size=(2, y.size, 2))
+    args = trace.compiled, trace.tape, trace.inputs, gq, ga
+    want = reverse_arrays(*args, reverse=backward_by_messages)
+    for _ in range(2):
+        got = reverse_arrays(*args)
+        assert len(got) == len(want) and all(same_bits(g, w) for g, w in zip(got, want))
