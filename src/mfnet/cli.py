@@ -61,7 +61,8 @@ def _flag(name: str) -> str:
 def _check_args(args) -> None:
     """Reject, before the command reads anything, a value that fails its
     flag table check, naming the flag and the value, and a trainer's --out
-    or --log that is a directory or lies in a missing one, naming the path."""
+    or --log that is a directory or lies in a missing one, or a --log that
+    is the --out file, naming the path."""
     given = vars(args)
 
     def reject(name, rule):
@@ -87,6 +88,8 @@ def _check_args(args) -> None:
                 raise ValueError(f"{_flag(name)} {given[name]}: is a directory")
             if not path.parent.is_dir():
                 raise ValueError(f"{_flag(name)} {given[name]}: no directory {path.parent}")
+        if args.log and Path(args.log).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--log {args.log}: is the --out file")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -42,9 +42,10 @@ counts), columns (`read_idx`) and table slice, so the forward builds
 nothing per image. Smaller steps sum each label row's messages with one
 `bincount` over the step's `BlockStep` indices. The reverse pass makes the
 same choice for the gradient of a step's read sites: the product with the
-operator's transpose, stored as CSR on the table set's first reverse pass,
-or per-message products scattered by `bincount`. Each kernel sums a row's
-terms from 0 in message order, so at K = 2 the two agree bit for bit.
+operator's transpose (scipy's `op.T.tocsr()`, built on the table set's
+first reverse pass and kept with it), or per-message products scattered
+by `bincount`. Each kernel sums a row's terms from 0 in message order, so
+at K = 2 the two agree bit for bit.
 
 Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
@@ -152,12 +153,6 @@ class BlockStep:
     pos: np.ndarray       # (M,) block position each message adds into, ascending
     reads: np.ndarray     # (R,) distinct sites the messages read, in step order
     read_idx: np.ndarray  # (M,) index of each message's read site in reads
-
-    @cached_property
-    def read_order(self) -> np.ndarray:
-        """The messages sorted stably by read site: the CSR order of the
-        step operator's transpose. Image-free, so sorted once per step."""
-        return np.argsort(self.read_idx, kind="stable")
 
 
 # `_table_inputs` stores a step's message sum as one CSR product, built from
@@ -275,25 +270,6 @@ def _table_map(K: int) -> np.ndarray:
 TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
 
 
-def _label_csr(rows: np.ndarray, cols: np.ndarray, tab: np.ndarray, shape) -> csr_array:
-    """A (K-1)B x (K-1)C matrix on label-major flattened columns, (B, C) =
-    `shape`: row k*B + b holds, entry by entry in the given order and then
-    by column label l, `tab[k, l, d]` of every entry d with `rows[d] = b`,
-    in column l*C + `cols[d]`. `rows` is non-decreasing, so its counts give
-    the row pointers."""
-    # Imported here: a run whose steps are all small never loads scipy.sparse.
-    from scipy.sparse import csr_array
-
-    (B, C), K1, M = shape, len(tab), rows.size
-    indptr = np.zeros(B + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=B), out=indptr[1:])
-    data = tab.swapaxes(1, 2).reshape(-1)
-    cols = np.tile((cols.astype(np.int32)[:, None] + C * np.arange(K1, dtype=np.int32)).ravel(), K1)
-    ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
-    indptr = np.concatenate([indptr[:1], ends.ravel()])
-    return csr_array((data, cols, indptr), shape=(K1 * B, K1 * C))
-
-
 def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     """The message sum of a step, as a (K-1)B x (K-1)R matrix on label-major
     flattened q columns: row k*B + b holds, message by message in step
@@ -302,39 +278,30 @@ def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     so `pos` counts give the row pointers, `read_idx` the columns and its
     table slice the data: at K = 2 a view of the tables, which scipy keeps
     when the step holds at least half the messages (each checkerboard step)."""
-    shape = (st.sites.stop - st.sites.start, st.reads.size)
-    return _label_csr(st.pos, st.read_idx, tables[:, :, st.msgs], shape)
+    # Imported here: a run whose steps are all small never loads scipy.sparse.
+    from scipy.sparse import csr_array
 
-
-def _transposed_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
-    """The transpose of `_step_operator(st, tables)`, (K-1)R x (K-1)B, as CSR:
-    row l*R + r holds, message by message in step order and then by target
-    label k, the entries T'[k, l] of every message that reads site r. The
-    messages in `st.read_order` give its row pointers and columns; at K = 2
-    the arrays are those of `op.T.tocsr()`, without a sort per table set."""
-    ro = st.read_order
-    shape = (st.reads.size, st.sites.stop - st.sites.start)
-    tab = tables[:, :, st.msgs].swapaxes(0, 1)[:, :, ro]
-    return _label_csr(st.read_idx[ro], st.pos[ro], tab, shape)
+    K1, B, M = len(tables), st.sites.stop - st.sites.start, st.pos.size
+    indptr = np.zeros(B + 1, dtype=np.int32)
+    np.cumsum(np.bincount(st.pos, minlength=B), out=indptr[1:])
+    cols = st.read_idx.astype(np.int32)
+    data = tables[:, :, st.msgs].swapaxes(1, 2).reshape(-1)
+    cols = np.tile((cols[:, None] + st.reads.size * np.arange(K1, dtype=np.int32)).ravel(), K1)
+    ends = K1 * indptr[1:] + (K1 * M * np.arange(K1, dtype=np.int32))[:, None]
+    indptr = np.concatenate([indptr[:1], ends.ravel()])
+    return csr_array((data, cols, indptr), shape=(K1 * B, K1 * st.reads.size))
 
 
 class StepOperators(tuple):
     """The stored operator of each step of a table set (`_step_operator`,
-    None for steps with fewer than SPARSE_MIN_MESSAGES messages). Their CSR
-    transposes, `transposed`, are built on the table set's first reverse
-    pass and kept with it, so forward-only runs build none."""
-
-    def __new__(cls, steps: Sequence[BlockStep], tables: np.ndarray):
-        ops = super().__new__(cls, (
-            _step_operator(st, tables) if st.pos.size >= SPARSE_MIN_MESSAGES else None
-            for st in steps))
-        ops._steps, ops._tables = steps, tables
-        return ops
+    None for steps with fewer than SPARSE_MIN_MESSAGES messages). Their
+    transposes, `transposed`, are scipy's CSR ones, built on the table
+    set's first reverse pass and kept with it, so forward-only runs build
+    none."""
 
     @cached_property
     def transposed(self) -> tuple:
-        return tuple(None if op is None else _transposed_operator(st, self._tables)
-                     for st, op in zip(self._steps, self))
+        return tuple(None if op is None else op.T.tocsr() for op in self)
 
 
 def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
@@ -359,7 +326,9 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     R = parts[: K1 * K1].reshape(K1, K1, E)
     tables = np.empty((K1, K1, 2 * E))
     tables[:, :, compiled.message_of.ravel()] = np.concatenate([R, R.swapaxes(0, 1)], axis=2)
-    out = const, tables, StepOperators(compiled.steps, tables)
+    ops = StepOperators(_step_operator(st, tables) if st.pos.size >= SPARSE_MIN_MESSAGES
+                        else None for st in compiled.steps)
+    out = const, tables, ops
     if frozen:
         for a in (const, tables):
             a.flags.writeable = False
@@ -546,11 +515,9 @@ def backward_unrolled(
     ga = np.transpose(ga_final)[1:].take(order, axis=1) if ga_final is not None else None
     for m in range(n_layers - 1, -1, -1):
         _, tables, ops = inputs[m]
-        # Operators in a plain tuple have no stored transposes: gather route.
-        ops_t = ops.transposed if isinstance(ops, StepOperators) else (None,) * n_steps
         records, du = tape[m * n_steps : (m + 1) * n_steps], dunary[m]
         ga_m = ga if m == n_layers - 1 else None
-        for st, rec, op_t in zip(compiled.steps[::-1], records[::-1], ops_t[::-1]):
+        for st, rec, op_t in zip(compiled.steps[::-1], records[::-1], ops.transposed[::-1]):
             g_b, qo = gq[:, st.sites], rec.q_out_km
             dot = g_b[0] * qo[0]
             for k in range(1, K1):

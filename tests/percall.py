@@ -25,7 +25,7 @@ import numpy as np
 
 from fingerprint import GRID_SCHEDULES, LAYERS, SWEEPS, letter_image, untied
 from mfnet import engine, meanfield, mfn
-from mfnet.crf import build_mrf, cl_gradient, theta0
+from mfnet.crf import build_mrf, cl_gradient, potts_tables, theta0
 from mfnet.mrf import FactorialDistribution, decode, softmax_init
 
 
@@ -42,6 +42,10 @@ def rows() -> dict:
     gq = {name: mfn.kl_grad_q(t.q_final, target) for name, t in traces.items()}
     trace, schedule = traces["checkerboard"], GRID_SCHEDULES["checkerboard"]
 
+    # A writable copy is never stored, so each call builds a fresh table set.
+    pairwise = potts_tables(*y.shape, theta.p_h, theta.p_v).copy()
+    u1 = target.unary[:, 1:].T - target.unary[:, 0]
+
     def reverse(name, kl=False):
         t, g = traces[name], (gq[name], None) if kl else (None, ga[name])
         return lambda: engine.backward_unrolled(t.compiled, t.tape, t.inputs, *g)
@@ -52,6 +56,8 @@ def rows() -> dict:
         "engine.backward_unrolled, hinge gradient": reverse("checkerboard"),
         "engine.backward_unrolled, hinge, raster": reverse("raster"),
         "engine.backward_unrolled, KL, raster": reverse("raster", kl=True),
+        "engine.reduced_layer, fresh, transposed": lambda: engine.reduced_layer(
+            trace.compiled, u1, pairwise)[2].transposed,
         "mfn.forward": lambda: mfn.forward(y, params, LAYERS, schedule),
         "mfn.backward, hinge gradient": lambda: mfn.backward(
             trace, y, params, ga_final=ga["checkerboard"]),

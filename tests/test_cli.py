@@ -530,7 +530,7 @@ class TestErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--log"])
-    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory", "other file"])
     @pytest.mark.parametrize("argv", [
         ["train-crf", "--steps", "0"],
         ["train-mfn-inference", "--params", "{missing}", "--steps", "0"],
@@ -538,15 +538,20 @@ class TestErrors:
     ])
     def test_unwritable_output_is_rejected_before_training(self, tiny_dataset, tmp_path, capsys,
                                                            argv, flag, where):
+        """"other file": the flag names the other one's file, with a `.` in
+        its path; the error names --log either way round."""
         paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.jsonl"}
-        paths[flag] = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+        other = paths["--log" if flag == "--out" else "--out"]
+        paths[flag] = {"directory": tmp_path, "missing directory": tmp_path / "missing" / "x.json",
+                       "other file": os.path.join(tmp_path, ".", other.name)}[where]
+        named = "--log" if where == "other file" else flag
         for data in (tiny_dataset / "train", tmp_path / "no_split"):
             code, stdout, err = run_cli(
                 capsys, *[a.format(missing=tmp_path / "no.json") for a in argv],
                 "--data", str(data), "--out", str(paths["--out"]),
                 "--log", str(paths["--log"]))
             assert code == 1 and stdout == ""
-            assert err.startswith(f"error: {flag} {paths[flag]}: ")
+            assert err.startswith(f"error: {named} {paths[named]}: ")
             assert len(err.splitlines()) == 1
             assert sorted(tmp_path.iterdir()) == []
 
