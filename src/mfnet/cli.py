@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import crf, data, meanfield, mfn
+from . import crf, data, mfn
 from .crf import CrfParams
 from .engine import checkerboard_schedule, raster_schedule
 from .mfn import DiscProtocol, MfnParams
-from .mrf import decode, softmax_init, unnormalized_kl_arrays
+from .mrf import decode, unnormalized_kl_arrays
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -61,8 +61,9 @@ def _flag(name: str) -> str:
 def _check_args(args) -> None:
     """Reject, before the command reads anything, a value that fails its
     flag table check, naming the flag and the value, and a trainer's --out
-    or --log that is a directory or lies in a missing one, or a --log that
-    is the --out file, naming the path."""
+    or --log that is a directory, lies in a missing one or is the --data
+    manifest, or a --log that is the --out or --params file, naming the
+    path."""
     given = vars(args)
 
     def reject(name, rule):
@@ -80,16 +81,24 @@ def _check_args(args) -> None:
         if most is not None and given[name] > most:
             reject(name, f"<= {most}")
     # The trainers are the commands with --log; gen-data's --out is the
-    # directory it writes into.
+    # directory it writes into. A trainer writes over none of its inputs:
+    # not the split's manifest, nor with --log the --params file (--out may
+    # replace parameters with parameters).
     if "log" in given:
+        manifest = _manifest(args.data).resolve()
         for name in ("out", "log") if args.log else ("out",):
             path = Path(given[name])
             if path.is_dir():
                 raise ValueError(f"{_flag(name)} {given[name]}: is a directory")
             if not path.parent.is_dir():
                 raise ValueError(f"{_flag(name)} {given[name]}: no directory {path.parent}")
-        if args.log and Path(args.log).resolve() == Path(args.out).resolve():
+            if path.resolve() == manifest:
+                raise ValueError(f"{_flag(name)} {given[name]}: is the --data manifest")
+        log = Path(args.log).resolve() if args.log else None
+        if log == Path(args.out).resolve():
             raise ValueError(f"--log {args.log}: is the --out file")
+        if log is not None and "params" in given and log == Path(args.params).resolve():
+            raise ValueError(f"--log {args.log}: is the --params file")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,12 +135,17 @@ def _drain(pairs: list):
         yield pairs.pop()
 
 
+def _manifest(data_arg) -> Path:
+    """The split manifest a --data value names: the path itself, or the
+    manifest.json of a directory."""
+    path = Path(data_arg)
+    return path / "manifest.json" if path.is_dir() else path
+
+
 def _load_data(args):
     """Image pairs of the --data split, given its manifest or the directory
     holding it, and the --schedule for their size."""
-    path = Path(args.data)
-    if path.is_dir():
-        path = path / "manifest.json"
+    path = _manifest(args.data)
     pairs = [img.pair for img in data.load_split(path)]
     if not pairs:
         raise ValueError(f"{path}: the split holds no images")
@@ -224,9 +238,8 @@ def cmd_run_mf(args) -> int:
     pairs, schedule = _load_data(args)
     kls = []
     accs = []
-    for i, (y, x_hat) in enumerate(_drain(pairs)):
-        model = crf.build_mrf(y, theta)
-        q, _ = meanfield.run(model, softmax_init(model), args.iters, schedule)
+    marginals = crf.mf_marginals_each(_drain(pairs), theta, args.iters, schedule)
+    for i, (_, x_hat, model, q) in enumerate(marginals):
         kls.append(
             unnormalized_kl_arrays(
                 q.probs, model.unary, model.pairwise, model.topology.edges

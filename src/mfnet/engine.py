@@ -47,6 +47,16 @@ first reverse pass and kept with it), or per-message products scattered
 by `bincount`. Each kernel sums a row's terms from 0 in message order, so
 at K = 2 the two agree bit for bit.
 
+Image axis: the forward pass also runs N images at once that share one
+layer stack's tables and operators, each with its own unary and q0. q0
+is then (n, K, N), each layer's unary (K-1, n, N), and every per-site
+array of the pass gains the trailing image axis: a step's message sum is
+one product of its operator with N columns (scipy's `csr_matvecs`) or the
+`bincount` kernel once per image, and each softmax runs over all N
+images. Per image the product adds the same terms in the same order as
+for one image, and the softmax is elementwise, so each image gets the
+bits of its own run. The reverse pass and the tape stay one image.
+
 Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
 order the steps update them, so a step's own sites are one slice of q,
@@ -344,7 +354,8 @@ def reduced_layer(
     """One layer's engine input, label-major and in step order: (unary
     (K-1, n), tables (K-1, K-1, 2E), step operators), from its reduced
     unary `unary1` (K-1, n), u_k - u_0 for labels k >= 1 in site order,
-    and its (E, K, K) pairwise array.
+    and its (E, K, K) pairwise array. A (K-1, n, N) `unary1`, one column
+    per image, gives a (K-1, n, N) unary with the same tables.
 
     With q_0 = 1 - sum_{l>=1} q_l, a message through table T adds
     T[k,0] - T[0,0] + sum_{l>=1} T'[k,l] q_l to a_k - a_0, where
@@ -356,14 +367,16 @@ def reduced_layer(
     tables' step operators included.
     """
     const, tables, ops = _table_inputs(compiled, pairwise)
+    const = const.reshape(const.shape + (1,) * (np.ndim(unary1) - 2))
     return unary1.take(compiled.order, axis=1) + const, tables, ops
 
 
 def layer_inputs(
     compiled: CompiledSchedule, layers: Sequence[Tuple[np.ndarray, np.ndarray]]
 ) -> list:
-    """The `reduced_layer` of each (unary (n, K), pairwise (E, K, K)) pair."""
-    full = [(np.asarray(u, dtype=np.float64).T, p) for u, p in layers]
+    """The `reduced_layer` of each (unary (n, K), pairwise (E, K, K)) pair;
+    a unary of N images is (n, K, N)."""
+    full = [(np.swapaxes(np.asarray(u, dtype=np.float64), 0, 1), p) for u, p in layers]
     return [reduced_layer(compiled, u[1:] - u[0], p) for u, p in full]
 
 
@@ -380,9 +393,20 @@ def block_activations(
     (K-1, R). With an operator the message sums are one product with the
     flattened q columns; without, each label row sums its messages into the
     block with one `bincount` over `st.pos`. Either way each activation is
-    the unary plus its message sum, one addition."""
+    the unary plus its message sum, one addition.
+
+    With an image axis, unary (K-1, B, N) and q_read (K-1, R, N), the
+    product takes the N columns at once; the `bincount` kernel runs once
+    per image."""
     if op is not None:
-        return unary + (op @ q_read.reshape(-1)).reshape(unary.shape)
+        q_cols = q_read.reshape(op.shape[1], *unary.shape[2:])
+        return unary + (op @ q_cols).reshape(unary.shape)
+    if unary.ndim == 3:
+        cols = [
+            block_activations(unary[..., i], tables, st, q_read[..., i])
+            for i in range(unary.shape[2])
+        ]
+        return np.stack(cols, axis=2)
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
     # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
     # a 9,850-message step).
@@ -421,10 +445,11 @@ class StepRecord:
 
 
 def _full(first, rest: np.ndarray) -> np.ndarray:
-    """(n, K) array: column 0 is `first`, columns 1.. the rows of `rest`."""
-    out = np.empty((rest.shape[1], rest.shape[0] + 1))
+    """(n, K) array, or (n, K, N) from a (K-1, n, N) `rest`: column 0 is
+    `first`, columns 1.. the rows of `rest`."""
+    out = np.empty((rest.shape[1], rest.shape[0] + 1, *rest.shape[2:]))
     out[:, 0] = first
-    out[:, 1:] = rest.T
+    out[:, 1:] = np.swapaxes(rest, 0, 1)
     return out
 
 
@@ -437,7 +462,9 @@ def run_unrolled(
     """Apply one sweep per layer, starting from q0 (n, K); returns the final
     q and the last layer's activations relative to label 0 (column 0 is
     all zeros), as contiguous (n, K) arrays (zeros when there are no
-    layers).
+    layers). A q0 of N images, (n, K, N), runs them at once on layers
+    whose unaries are (K-1, n, N), and returns (n, K, N) arrays; each
+    image's columns are the bits of its own run.
 
     Only labels 1..K-1 of q0 are read: q0 is a distribution, so label 0 is
     one minus their sum, and so is column 0 of every q returned.
@@ -446,14 +473,14 @@ def run_unrolled(
     tables, step operators) triples in step order; plain mean field
     passes the same triple M times.
     If `tape` is a list, one StepRecord per block step is appended for
-    the reverse pass.
+    the reverse pass, which takes one image.
 
     A softmax term, or an activation before the last layer, that overflows
     is a limit, not an error, and raises no warning. Raises
     FloatingPointError when the final q or the last layer's activations
     are not finite.
     """
-    q = np.transpose(np.asarray(q0, dtype=np.float64))[1:].take(compiled.order, axis=1)
+    q = np.swapaxes(np.asarray(q0, dtype=np.float64), 0, 1)[1:].take(compiled.order, axis=1)
     a_final = np.zeros_like(q)
     # Once per pass, not per step: entering errstate costs about 1 us.
     with np.errstate(over="ignore"):

@@ -1,7 +1,7 @@
 """Classical mean field under explicit update schedules."""
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,18 +53,28 @@ def sweep(
 
 
 def run(
-    mrf: PairwiseMRF,
-    q0: FactorialDistribution,
+    mrf: PairwiseMRF | Sequence[PairwiseMRF],
+    q0: FactorialDistribution | Sequence[FactorialDistribution],
     n_iters: int,
     schedule: Schedule,
     track_kl: bool = False,
-) -> Tuple[FactorialDistribution, Optional[List[float]]]:
+) -> Tuple[FactorialDistribution | List[FactorialDistribution], Optional[List[float]]]:
     """n_iters mean field sweeps; no convergence test, fixed iteration count.
 
     With track_kl, also returns the unnormalized KL after each sweep.
+
+    `mrf` and `q0` may also be equal-length lists: models on one topology
+    that share one pairwise array, and their initial distributions. They
+    run as one engine pass over an image axis, each block step one
+    product for all of them, and their marginals come back as a list in
+    order, each the bits of its own run (without track_kl).
     """
     if n_iters < 0:
         raise ValueError("iteration count must be >= 0")
+    if not isinstance(mrf, PairwiseMRF):
+        if track_kl:
+            raise ValueError("track_kl takes one model")
+        return _run_images(list(mrf), list(q0), n_iters, schedule), None
     if n_iters == 0:
         return q0, ([] if track_kl else None)
     compiled = engine.compile_schedule(mrf.topology, schedule)
@@ -78,6 +88,28 @@ def run(
         q = engine.run_unrolled(layer, q, compiled)[0]
         kl_trace.append(unnormalized_kl_arrays(q, mrf.unary, mrf.pairwise, mrf.topology.edges))
     return FactorialDistribution(q), kl_trace
+
+
+def _run_images(
+    mrfs: List[PairwiseMRF],
+    q0s: List[FactorialDistribution],
+    n_iters: int,
+    schedule: Schedule,
+) -> List[FactorialDistribution]:
+    """`run` on a list of models, stacked on the engine's trailing image axis."""
+    if len(mrfs) != len(q0s):
+        raise ValueError(f"{len(mrfs)} models but {len(q0s)} initial distributions")
+    if not mrfs or n_iters == 0:
+        return q0s
+    topology, pairwise = mrfs[0].topology, mrfs[0].pairwise
+    if any(m.topology is not topology or m.pairwise is not pairwise for m in mrfs):
+        raise ValueError("the models must share one topology and one pairwise array")
+    compiled = engine.compile_schedule(topology, schedule)
+    unary = np.stack([m.unary for m in mrfs], axis=2)
+    layer = engine.layer_inputs(compiled, [(unary, pairwise)])
+    out, _ = engine.run_unrolled(layer * n_iters, np.stack([q.probs for q in q0s], axis=2),
+                                 compiled)
+    return [FactorialDistribution(np.ascontiguousarray(out[..., i])) for i in range(len(mrfs))]
 
 
 def max_site_change(

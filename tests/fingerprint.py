@@ -10,7 +10,9 @@ largest absolute difference from it, relative to the largest absolute entry
 of the saved array. The artefacts: on a 50x100 letter image under both
 schedules, 30-sweep mean field (q, the CRF likelihood gradient on theta at
 that q and `predict_mf`'s labels) and a 3-layer untied network (q,
-activations, and the hinge and KL gradients on theta); raw forward and
+activations, and the hinge and KL gradients on theta); the 30-sweep
+checkerboard marginals of 10 seeded images, which
+`crf.mf_marginals_each` runs in chunks of `crf.MF_CHUNK`; raw forward and
 reverse engine outputs on seeded random graphs at K = 2, 3 and 4; the
 compiled step fields of both 50x100 schedules and of the random graphs;
 and raw reverse outputs of a 3-layer K = 3 network on a 30x30
@@ -26,7 +28,15 @@ import sys
 import numpy as np
 
 from mfnet import data, engine, meanfield, mfn
-from mfnet.crf import CrfParams, build_mrf, cl_gradient, grid_graph, predict_mf, theta0
+from mfnet.crf import (
+    CrfParams,
+    build_mrf,
+    cl_gradient,
+    grid_graph,
+    mf_marginals_each,
+    predict_mf,
+    theta0,
+)
 from mfnet.mrf import GraphTopology, row_softmax, softmax_init
 
 H, W, LAYERS, SWEEPS = 50, 100, 3, 30
@@ -96,6 +106,11 @@ def artefacts(theta: CrfParams | None = None) -> dict:
         out[f"hinge.{name}"] = np.array(mfn.backward(trace, y, params, ga_final=ga))
         gq = mfn.kl_grad_q(trace.q_final, target)
         out[f"kl.{name}"] = np.array(mfn.backward(trace, y, params, gq_final=gq))
+    # 10 images, more than one chunk.
+    train, test = data.generate_dataset(n=5, seed=4)
+    pairs = [img.pair for img in train + test]
+    out[f"meanfield{SWEEPS}.chunked.q"] = np.stack(
+        [q.probs for *_, q in mf_marginals_each(pairs, theta, SWEEPS)])
 
     rng = np.random.default_rng(1)
     compiled_fields = []

@@ -4,9 +4,11 @@
 
 Each row is the minimum over the repeats of one `timeit` loop, whose
 length `Timer.autorange` picks (at least 0.2 s), divided by its call
-count. The inputs are those of `fingerprint.py`: its seeded 50x100 letter
-image, `theta0()`, and a 3-layer untied network on the checkerboard
-schedule unless a row says raster. BLAS is pinned to one thread, as in
+count, or by that times its image count for a row "per image". The
+inputs are those of `fingerprint.py`: its seeded 50x100 letter image,
+`theta0()`, and a 3-layer untied network on the checkerboard schedule
+unless a row says raster; the chunk row runs `crf.MF_CHUNK` copies of
+the letter image through one `meanfield.run`. BLAS is pinned to one thread, as in
 `perfbench`. On a shared host one row can move by a third between runs,
 so compare two versions in alternating runs; `--only backward_unrolled`
 times just the reverse-pass rows. pytest does not collect this file.
@@ -25,12 +27,12 @@ import numpy as np
 
 from fingerprint import GRID_SCHEDULES, LAYERS, SWEEPS, letter_image, untied
 from mfnet import engine, meanfield, mfn
-from mfnet.crf import build_mrf, cl_gradient, potts_tables, theta0
+from mfnet.crf import MF_CHUNK, build_mrf, cl_gradient, potts_tables, theta0
 from mfnet.mrf import FactorialDistribution, decode, softmax_init
 
 
 def rows() -> dict:
-    """Row label -> a call to time."""
+    """Row label -> a call to time, or (call, images) for a per-image row."""
     y, clean = letter_image()
     theta, x_hat = theta0(), clean.ravel()
     params = untied(theta)
@@ -45,6 +47,8 @@ def rows() -> dict:
     # A writable copy is never stored, so each call builds a fresh table set.
     pairwise = potts_tables(*y.shape, theta.p_h, theta.p_v).copy()
     u1 = target.unary[:, 1:].T - target.unary[:, 0]
+    chunk = [build_mrf(y.copy(), theta) for _ in range(MF_CHUNK)]
+    chunk_q0 = [softmax_init(m) for m in chunk]
 
     def reverse(name, kl=False):
         t, g = traces[name], (gq[name], None) if kl else (None, ga[name])
@@ -65,6 +69,8 @@ def rows() -> dict:
             trace, y, params, gq_final=mfn.kl_grad_q(trace.q_final, target)),
         "mfn.kl_grad_q": lambda: mfn.kl_grad_q(trace.q_final, target),
         f"meanfield.run, {SWEEPS} sweeps": lambda: meanfield.run(target, q0, SWEEPS, schedule),
+        f"meanfield.run, {SWEEPS} sweeps, chunk, per image": (
+            lambda: meanfield.run(chunk, chunk_q0, SWEEPS, schedule), MF_CHUNK),
         "crf.build_mrf": lambda: build_mrf(y, theta),
         "mrf.softmax_init": lambda: softmax_init(target),
         "crf.cl_gradient": lambda: cl_gradient(y, x_hat, q_mf),
@@ -73,10 +79,10 @@ def rows() -> dict:
     }
 
 
-def per_call_us(call, repeats: int) -> float:
+def per_call_us(call, repeats: int, images: int = 1) -> float:
     timer = timeit.Timer(call)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeats, number)) / number * 1e6
+    return min(timer.repeat(repeats, number)) / (number * images) * 1e6
 
 
 def main(argv=None) -> int:
@@ -92,8 +98,9 @@ def main(argv=None) -> int:
         parser.error(f"no row label contains {args.only!r}")
     print(f"# Python {sys.version.split()[0]}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; minimum of {args.repeats} repeats")
-    for label, call in chosen.items():
-        print(f"{label:<42} {per_call_us(call, args.repeats):10.1f} us")
+    for label, row in chosen.items():
+        call, images = row if isinstance(row, tuple) else (row, 1)
+        print(f"{label:<42} {per_call_us(call, args.repeats, images):10.1f} us")
     return 0
 
 

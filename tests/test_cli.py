@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfnet import cli, data, gradcheck
+from mfnet import cli, crf, data, gradcheck
 from mfnet.cli import build_parser, main
 from mfnet.crf import theta0
 from mfnet.mfn import MfnParams
@@ -100,6 +100,32 @@ class TestRunMf:
         assert 0.0 <= result["mean_accuracy"] <= 1.0
         code, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+
+class TestChunks:
+    @pytest.mark.parametrize("schedule", ["checkerboard", "raster"])
+    def test_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, capsys, monkeypatch,
+                                                     schedule):
+        """train-crf's parameters and log and run-mf's output are the same
+        bytes for one image per `meanfield.run`, chunks of 2 on a 5-image
+        split (2, 2, then 1) and the default chunk."""
+        assert main(["gen-data", "--out", str(tmp_path), "--seed", "7", "--n", "5"]) == 0
+        capsys.readouterr()
+        outputs = []
+        for chunk in (1, 2, crf.MF_CHUNK):
+            monkeypatch.setattr(crf, "MF_CHUNK", chunk)
+            theta, log = tmp_path / f"theta{chunk}.json", tmp_path / f"log{chunk}.jsonl"
+            code, _, _ = run_cli(capsys, "train-crf", "--data", str(tmp_path / "train"),
+                                 "--out", str(theta), "--log", str(log), "--steps", "2",
+                                 "--mf-iters", "3", "--schedule", schedule)
+            assert code == 0
+            code, stdout, _ = run_cli(capsys, "run-mf", "--params", str(theta), "--data",
+                                      str(tmp_path / "test"), "--iters", "3",
+                                      "--schedule", schedule)
+            assert code == 0
+            outputs.append((theta.read_bytes(), log.read_bytes(), stdout))
+        assert len(json.loads(outputs[0][2])["per_image_kl"]) == 5
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestEval:
@@ -530,7 +556,8 @@ class TestErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--out", "--log"])
-    @pytest.mark.parametrize("where", ["directory", "missing directory", "other file"])
+    @pytest.mark.parametrize("where", ["directory", "missing directory", "other file",
+                                       "data manifest"])
     @pytest.mark.parametrize("argv", [
         ["train-crf", "--steps", "0"],
         ["train-mfn-inference", "--params", "{missing}", "--steps", "0"],
@@ -539,13 +566,21 @@ class TestErrors:
     def test_unwritable_output_is_rejected_before_training(self, tiny_dataset, tmp_path, capsys,
                                                            argv, flag, where):
         """"other file": the flag names the other one's file, with a `.` in
-        its path; the error names --log either way round."""
-        paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.jsonl"}
-        other = paths["--log" if flag == "--out" else "--out"]
-        paths[flag] = {"directory": tmp_path, "missing directory": tmp_path / "missing" / "x.json",
-                       "other file": os.path.join(tmp_path, ".", other.name)}[where]
-        named = "--log" if where == "other file" else flag
+        its path; the error names --log either way round. "data manifest":
+        the flag names the split's manifest, with a `.` in its path, for a
+        --data that is the split's directory or a missing file."""
+        manifest = tiny_dataset / "train" / "manifest.json"
+        saved = manifest.read_bytes()
         for data in (tiny_dataset / "train", tmp_path / "no_split"):
+            paths = {"--out": tmp_path / "model.json", "--log": tmp_path / "log.jsonl"}
+            other = paths["--log" if flag == "--out" else "--out"]
+            named_file = manifest if data.is_dir() else data
+            paths[flag] = {"directory": tmp_path,
+                           "missing directory": tmp_path / "missing" / "x.json",
+                           "other file": os.path.join(tmp_path, ".", other.name),
+                           "data manifest": os.path.join(named_file.parent, ".", named_file.name),
+                           }[where]
+            named = "--log" if where == "other file" else flag
             code, stdout, err = run_cli(
                 capsys, *[a.format(missing=tmp_path / "no.json") for a in argv],
                 "--data", str(data), "--out", str(paths["--out"]),
@@ -554,6 +589,29 @@ class TestErrors:
             assert err.startswith(f"error: {named} {paths[named]}: ")
             assert len(err.splitlines()) == 1
             assert sorted(tmp_path.iterdir()) == []
+            assert manifest.read_bytes() == saved
+
+    @pytest.mark.parametrize("argv", [
+        ["train-mfn-inference", "--steps", "0"],
+        ["train-mfn-disc", "--phase1-steps", "0", "--phase2-steps", "0"],
+    ])
+    def test_log_over_the_params_file_is_rejected(self, tiny_dataset, tmp_path, capsys, argv):
+        """--log may not name the --params file the run reads; --out may, as
+        it replaces parameters with parameters."""
+        theta = tmp_path / "theta.json"
+        text = json.dumps(theta0().to_json_dict())
+        theta.write_text(text)
+        dotted = os.path.join(tmp_path, ".", theta.name)
+        split = ("--params", str(theta), "--data", str(tiny_dataset / "train"))
+        code, stdout, err = run_cli(capsys, *argv, *split, "--out", str(tmp_path / "model.json"),
+                                    "--log", dotted)
+        assert code == 1 and stdout == ""
+        assert err == f"error: --log {dotted}: is the --params file\n"
+        assert sorted(tmp_path.iterdir()) == [theta] and theta.read_text() == text
+        code, stdout, _ = run_cli(capsys, *argv, *split, "--out", dotted)
+        assert code == 0 and stdout == f"{dotted}\n"
+        assert sorted(tmp_path.iterdir()) == [theta]
+        assert "layers" in json.loads(theta.read_text())
 
     @pytest.mark.parametrize("argv, shown", [
         (["eval", "--model", "m", "--data", "d", "--iters", "x"], "invalid int value: 'x'"),
@@ -637,6 +695,23 @@ class TestErrors:
                                  str(split), "--iters", "3")
         assert code == 2 and out == ""
         assert err == f"numerical failure: {split}: files[0]: unnormalized KL is -inf\n"
+
+    def test_run_mf_non_finite_kl_names_an_image_past_the_first_chunk(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # The centre-pixel weight reads 0 on the all-zero inputs, whose KL
+        # stays finite; on the all-one input the KL's unary sum overflows.
+        monkeypatch.setattr(crf, "MF_CHUNK", 2)
+        zero, one = np.zeros((5, 6)), np.ones((5, 6))
+        images = [data.LabeledImage(x, np.zeros(x.shape, dtype=np.int64))
+                  for x in (zero, zero, one)]
+        split = data.save_split(images, tmp_path / "split", {})
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"w": [0.0] * 12 + [1e307] + [0.0] * 13,
+                                      "p_h": 0.0, "p_v": 0.0}))
+        code, out, err = run_cli(capsys, "run-mf", "--params", str(params), "--data",
+                                 str(split), "--iters", "3")
+        assert code == 2 and out == ""
+        assert err == f"numerical failure: {split}: files[2]: unnormalized KL is -inf\n"
 
     def test_numerical_failure_prints_one_line(self, tiny_dataset, tmp_path):
         params = tmp_path / "big.json"

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,6 +15,7 @@ from mfnet.mfn import MfnParams, forward, forward_mrfs
 from mfnet.mrf import (
     FactorialDistribution,
     GraphTopology,
+    PairwiseMRF,
     row_softmax,
     softmax_init,
     unnormalized_kl,
@@ -182,6 +183,67 @@ def test_operator_path_equals_bincount_path_at_k2(h, w, schedule_name, rng):
     assert len(runs[0]) == len(runs[1])
     for x, y in zip(*runs):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# Three isolated sites, so the schedule's one step has no read sites.
+_EDGELESS = GraphTopology(n_vertices=3, edges=np.zeros((0, 2), dtype=np.int64))
+_EDGELESS_PROBLEM = (
+    [PairwiseMRF(_EDGELESS, 3, np.arange(9.0).reshape(3, 3) * (0.5 - i), np.zeros((0, 3, 3)))
+     for i in range(2)],
+    sequential_schedule((2, 0, 1)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problems())
+@example(_EDGELESS_PROBLEM)
+def _images_run_as_one_batch(problem):
+    """Each problem layer's unary is an image's, all with the first
+    layer's pairwise array: `meanfield.run` on the list, and the engine on
+    the stacked image axis, give each image the bits of its own run."""
+    mrfs, schedule = problem
+    pairwise, n_iters = mrfs[0].pairwise, 2
+    models = [PairwiseMRF(m.topology, m.K, m.unary, pairwise) for m in mrfs]
+    q0s = [softmax_init(m) for m in models[::-1]]
+    qs, no_trace = meanfield.run(models, q0s, n_iters, schedule)
+    assert no_trace is None and len(qs) == len(models)
+    compiled = engine.compile_schedule(models[0].topology, schedule)
+    unary = np.stack([m.unary for m in models], axis=2)
+    q_all, a_all = engine.run_unrolled(
+        engine.layer_inputs(compiled, [(unary, pairwise)]) * n_iters,
+        np.stack([q.probs for q in q0s], axis=2), compiled)
+    for i, (m, q0, q) in enumerate(zip(models, q0s, qs)):
+        single, a = engine.run_unrolled(
+            engine.layer_inputs(compiled, [(m.unary, pairwise)]) * n_iters, q0.probs, compiled)
+        assert q.probs.tobytes() == single.tobytes()
+        assert q_all[..., i].tobytes() == single.tobytes()
+        assert a_all[..., i].tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [0, 10**9], ids=["operator on every step", "no operator"])
+def test_batched_mean_field_equals_one_run_per_image(threshold, monkeypatch):
+    """K 2-4 problems, once with every step's message sum as its stored
+    CSR product and once with none, so both kernels take the image axis."""
+    monkeypatch.setattr(engine, "SPARSE_MIN_MESSAGES", threshold)
+    engine.compile_schedule.cache_clear()
+    try:
+        _images_run_as_one_batch()
+    finally:
+        engine.compile_schedule.cache_clear()
+
+
+def test_mean_field_on_a_list_checks_its_models(rng):
+    mrf = random_grid_mrf(rng, 3, 4)
+    other = PairwiseMRF(mrf.topology, 2, mrf.unary, mrf.pairwise.copy())
+    schedule = engine.checkerboard_schedule(3, 4)
+    q0 = softmax_init(mrf)
+    assert meanfield.run([], [], 3, schedule) == ([], None)
+    assert meanfield.run([mrf], [q0], 0, schedule)[0] == [q0]
+    for models, q0s, match in [([mrf, other], [q0, q0], "share one topology"),
+                               ([mrf, mrf], [q0], "2 models but 1 initial"),
+                               ([mrf], [q0], "track_kl")]:
+        with pytest.raises(ValueError, match=match):
+            meanfield.run(models, q0s, 3, schedule, track_kl=match == "track_kl")
 
 
 def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
