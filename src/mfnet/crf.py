@@ -5,7 +5,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -119,7 +119,11 @@ def feature_matrix(y: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def potts_tables(height: int, width: int, p_h: float, p_v: float) -> np.ndarray:
     """Read-only (E, 2, 2) Potts tables, penalty p_h on horizontal and p_v on
-    vertical edges, shared by every image (and by `engine.reduced_layer`)."""
+    vertical edges, shared by every image. `engine.reduced_layer` keeps an
+    array's table set while it lives, so this is the one count of table sets:
+    untied networks of up to 8 layers reuse each layer's tables; from 9 on
+    every image rebuilds them. At 50x100 an entry holds 0.87 MB: the array
+    (315 KB) and its checkerboard table set with transposes (553 KB)."""
     n_h = height * (width - 1)  # horizontal edges come first
     pairwise = np.zeros((grid_graph(height, width).n_edges, 2, 2))
     pairwise[:n_h, 0, 0] = pairwise[:n_h, 1, 1] = p_h
@@ -192,16 +196,15 @@ def mf_marginals_each(
 ):
     """Yield (y, x_hat, model, q) per (y, x_hat) pair, in order: the
     `build_mrf` model of y and its mean field marginals from `softmax_init`,
-    the bits of `mf_marginals`. MF_CHUNK images at a time run through one
-    `meanfield.run`; the schedule defaults to checkerboard."""
-    pairs = iter(pairs)
-    while chunk := list(islice(pairs, MF_CHUNK)):
-        models = [build_mrf(y, theta) for y, _ in chunk]
-        if schedule is None:
-            schedule = checkerboard_schedule(*np.shape(chunk[0][0]))
-        qs, _ = meanfield.run(models, [softmax_init(m) for m in models], n_iters, schedule)
-        for (y, x_hat), model, q in zip(chunk, models, qs):
-            yield y, x_hat, model, q
+    the bits of `mf_marginals`. Consecutive images of one size run MF_CHUNK
+    at a time through one `meanfield.run`, by default on their checkerboard."""
+    for shape, group in groupby(pairs, key=lambda pair: np.shape(pair[0])):
+        sched = schedule or checkerboard_schedule(*shape)
+        while chunk := list(islice(group, MF_CHUNK)):
+            models = [build_mrf(y, theta) for y, _ in chunk]
+            qs, _ = meanfield.run(models, [softmax_init(m) for m in models], n_iters, sched)
+            for (y, x_hat), model, q in zip(chunk, models, qs):
+                yield y, x_hat, model, q
 
 
 def predict_mf(

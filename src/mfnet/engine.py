@@ -16,8 +16,8 @@ tape recorded here is what the reverse pass consumes.
 Reduced form: a softmax ignores a constant added to a site's activations,
 so the engine pins label 0's activation at 0 and carries only labels
 1..K-1 (`reduced_layer` builds a layer's matching unary and message
-tables, and reuses the tables of read-only pairwise arrays). For the
-binary CRF this is the magnetization form of mean field,
+tables, and keeps those of a read-only pairwise array while it lives).
+For the binary CRF this is the magnetization form of mean field,
 q_s = sigmoid(h_s + sum_t (c_st + s_st q_t)). Callers still pass and
 receive (n, K) arrays: label 0 of q0 is not read, since q0 is a
 distribution; label 0 of a returned q is one minus the others; returned
@@ -66,6 +66,7 @@ gradients into step order on entry, and their outputs back to site order.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -277,9 +278,6 @@ def _table_map(K: int) -> np.ndarray:
     return W
 
 
-TABLE_STORE_SIZE = 4  # per compiled schedule; an untied 3-layer network uses 3
-
-
 def _step_operator(st: BlockStep, tables: np.ndarray) -> csr_array:
     """The message sum of a step, as a (K-1)B x (K-1)R matrix on label-major
     flattened q columns: row k*B + b holds, message by message in step
@@ -318,10 +316,11 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     """The image-free part of `reduced_layer`: message constants summed into
     their targets (K-1, n) in step order, the reduced tables, and each
     step's operator (`StepOperators`). Stored for read-only arrays that own
-    their data, holding each so its id is not reused; others are rebuilt."""
+    their data exactly as long as the array lives, by `crf.feature_matrix`'s
+    rule (keyed by id, checked by weak reference); others are rebuilt."""
     store, key = compiled._table_inputs, id(pairwise)
     frozen = not pairwise.flags.writeable and pairwise.base is None
-    if frozen and key in store:
+    if frozen and key in store and store[key][0]() is pairwise:
         return store[key][1]
     n, E, K = compiled.topology.n_vertices, compiled.topology.n_edges, pairwise.shape[-1]
     K1 = K - 1
@@ -342,9 +341,8 @@ def _table_inputs(compiled: CompiledSchedule, pairwise: np.ndarray) -> tuple:
     if frozen:
         for a in (const, tables):
             a.flags.writeable = False
-        if len(store) >= TABLE_STORE_SIZE:
-            del store[next(iter(store))]
-        store[key] = (pairwise, out)
+        store[key] = (weakref.ref(pairwise), out)
+        weakref.finalize(pairwise, store.pop, key, None)
     return out
 
 
@@ -480,6 +478,8 @@ def run_unrolled(
     FloatingPointError when the final q or the last layer's activations
     are not finite.
     """
+    if tape is not None and np.ndim(q0) == 3:
+        raise ValueError("a taped run takes one image; q0 must be (n, K)")
     q = np.swapaxes(np.asarray(q0, dtype=np.float64), 0, 1)[1:].take(compiled.order, axis=1)
     a_final = np.zeros_like(q)
     # Once per pass, not per step: entering errstate costs about 1 us.

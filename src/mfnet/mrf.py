@@ -7,7 +7,7 @@ with the row indexing the lower-numbered endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -39,16 +39,13 @@ class GraphTopology:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def adjacency(self) -> list:
         """Per-vertex list of (neighbor, edge_index) pairs."""
-        adj = getattr(self, "_adjacency", None)
-        if adj is None:
-            adj = [[] for _ in range(self.n_vertices)]
-            for e, (s, t) in enumerate(self.edges):
-                adj[s].append((int(t), e))
-                adj[t].append((int(s), e))
-            object.__setattr__(self, "_adjacency", adj)
+        adj = [[] for _ in range(self.n_vertices)]
+        for e, (s, t) in enumerate(self.edges):
+            adj[s].append((int(t), e))
+            adj[t].append((int(s), e))
         return adj
 
 

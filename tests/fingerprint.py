@@ -53,11 +53,11 @@ def letter_image():
     return data.add_noise(clean, rng), clean
 
 
-def untied(theta: CrfParams) -> mfn.MfnParams:
-    """LAYERS distinct layers: theta scaled by 1, 1.1, 1.2, ..."""
+def untied(theta: CrfParams, n_layers: int = LAYERS) -> mfn.MfnParams:
+    """n_layers distinct layers: theta scaled by 1, 1.1, 1.2, ..."""
     base = theta.to_vector()
-    vec = np.concatenate([base * (1.0 + 0.1 * m) for m in range(LAYERS)])
-    return mfn.MfnParams.from_vector(vec, tied=False, n_layers=LAYERS)
+    vec = np.concatenate([base * (1.0 + 0.1 * m) for m in range(n_layers)])
+    return mfn.MfnParams.from_vector(vec, tied=False, n_layers=n_layers)
 
 
 def random_problem(rng, K: int):

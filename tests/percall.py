@@ -4,11 +4,14 @@
 
 Each row is the minimum over the repeats of one `timeit` loop, whose
 length `Timer.autorange` picks (at least 0.2 s), divided by its call
-count, or by that times its image count for a row "per image". The
-inputs are those of `fingerprint.py`: its seeded 50x100 letter image,
-`theta0()`, and a 3-layer untied network on the checkerboard schedule
-unless a row says raster; the chunk row runs `crf.MF_CHUNK` copies of
-the letter image through one `meanfield.run`. BLAS is pinned to one thread, as in
+count, or by that times its image or layer count for a row "per image"
+or "per layer". The inputs are those of `fingerprint.py`: its seeded
+50x100 letter image, `theta0()`, and a 3-layer untied network on the
+checkerboard schedule unless a row says raster; the chunk row runs
+`crf.MF_CHUNK` copies of the letter image through one `meanfield.run`,
+and the deep row a forward and hinge reverse pass of a DEEP_LAYERS-layer
+untied network, whose layers all keep their tables across calls while
+the Potts cache holds their arrays. BLAS is pinned to one thread, as in
 `perfbench`. On a shared host one row can move by a third between runs,
 so compare two versions in alternating runs; `--only backward_unrolled`
 times just the reverse-pass rows. pytest does not collect this file.
@@ -30,9 +33,12 @@ from mfnet import engine, meanfield, mfn
 from mfnet.crf import MF_CHUNK, build_mrf, cl_gradient, potts_tables, theta0
 from mfnet.mrf import FactorialDistribution, decode, softmax_init
 
+DEEP_LAYERS = 6  # untied layers of the deep row
+
 
 def rows() -> dict:
-    """Row label -> a call to time, or (call, images) for a per-image row."""
+    """Row label -> a call to time, or (call, count) for a per-image or
+    per-layer row."""
     y, clean = letter_image()
     theta, x_hat = theta0(), clean.ravel()
     params = untied(theta)
@@ -49,6 +55,12 @@ def rows() -> dict:
     u1 = target.unary[:, 1:].T - target.unary[:, 0]
     chunk = [build_mrf(y.copy(), theta) for _ in range(MF_CHUNK)]
     chunk_q0 = [softmax_init(m) for m in chunk]
+    deep = untied(theta, DEEP_LAYERS)
+    deep_ga = mfn.hinge_loss_grad(mfn.forward(y, deep, DEEP_LAYERS, schedule).a_final, x_hat)[1]
+
+    def deep_pass():
+        t = mfn.forward(y, deep, DEEP_LAYERS, schedule)
+        return mfn.backward(t, y, deep, ga_final=deep_ga)
 
     def reverse(name, kl=False):
         t, g = traces[name], (gq[name], None) if kl else (None, ga[name])
@@ -68,6 +80,8 @@ def rows() -> dict:
         "mfn.backward, KL gradient with kl_grad_q": lambda: mfn.backward(
             trace, y, params, gq_final=mfn.kl_grad_q(trace.q_final, target)),
         "mfn.kl_grad_q": lambda: mfn.kl_grad_q(trace.q_final, target),
+        f"mfn.forward+backward, {DEEP_LAYERS} untied, per layer": (
+            deep_pass, DEEP_LAYERS),
         f"meanfield.run, {SWEEPS} sweeps": lambda: meanfield.run(target, q0, SWEEPS, schedule),
         f"meanfield.run, {SWEEPS} sweeps, chunk, per image": (
             lambda: meanfield.run(chunk, chunk_q0, SWEEPS, schedule), MF_CHUNK),
@@ -79,10 +93,10 @@ def rows() -> dict:
     }
 
 
-def per_call_us(call, repeats: int, images: int = 1) -> float:
+def per_call_us(call, repeats: int, count: int = 1) -> float:
     timer = timeit.Timer(call)
     number, _ = timer.autorange()
-    return min(timer.repeat(repeats, number)) / (number * images) * 1e6
+    return min(timer.repeat(repeats, number)) / (number * count) * 1e6
 
 
 def main(argv=None) -> int:
@@ -99,8 +113,8 @@ def main(argv=None) -> int:
     print(f"# Python {sys.version.split()[0]}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; minimum of {args.repeats} repeats")
     for label, row in chosen.items():
-        call, images = row if isinstance(row, tuple) else (row, 1)
-        print(f"{label:<42} {per_call_us(call, args.repeats, images):10.1f} us")
+        call, count = row if isinstance(row, tuple) else (row, 1)
+        print(f"{label:<42} {per_call_us(call, args.repeats, count):10.1f} us")
     return 0
 
 

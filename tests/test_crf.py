@@ -207,6 +207,18 @@ class TestClGradient:
         np.testing.assert_allclose(g[26:], g2[26:], atol=1e-10)
 
 
+def test_mean_field_on_images_of_two_sizes_gives_each_its_own_bits(rng):
+    """A chunk may span a size change: each size's images run together,
+    each on its own size's default schedule."""
+    images = [rng.random((4, 5)) for _ in range(5)] + [rng.random((3, 6))]
+    pairs = [(y, np.zeros(y.size, dtype=np.int64)) for y in images]
+    out = list(crf.mf_marginals_each(iter(pairs), theta0(), 3))
+    assert len(out) == len(images) and all(o[0] is y for o, y in zip(out, images))
+    for y, _, model, q in out:
+        assert model.n_vertices == y.size
+        assert q.probs.tobytes() == crf.mf_marginals(y, theta0(), 3).probs.tobytes()
+
+
 class TestTrainBaseline:
     def _tiny_set(self, n=2):
         from mfnet import data as D

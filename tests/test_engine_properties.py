@@ -1,5 +1,6 @@
 """Property tests of the shared engine over random graphs, label counts and schedules."""
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
     np.testing.assert_array_equal(a, np.zeros((3, 2)))
 
 
+def test_taped_run_rejects_an_image_axis():
+    topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
+    compiled = engine.compile_schedule(topo, engine.raster_schedule(3))
+    layers = engine.layer_inputs(compiled, [(np.zeros((3, 2, 2)), np.ones((1, 2, 2)))])
+    tape = []
+    with pytest.raises(ValueError, match="a taped run takes one image"):
+        engine.run_unrolled(layers, np.full((3, 2, 2), 0.5), compiled, tape=tape)
+    assert tape == []
+
+
 def test_backward_rejects_a_tape_of_another_length():
     topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
     compiled = engine.compile_schedule(topo, engine.raster_schedule(3))
@@ -413,7 +424,7 @@ def test_stored_table_inputs_equal_fresh_ones(problem):
     mrfs, schedule = problem
     # Outside the compile cache, so the table store starts empty.
     compiled = engine.compile_schedule.__wrapped__(mrfs[0].topology, schedule)
-    frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
+    frozen = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs]
     views = [(u, _read_only_view(p)) for u, p in frozen]
     with operators_on_every_step():
         first = engine.layer_inputs(compiled, frozen)
@@ -439,7 +450,7 @@ def test_transposed_operators_are_built_on_the_first_reverse_pass(problem):
     each stored operator's transpose as CSR, kept with the table set."""
     mrfs, schedule = problem
     compiled = engine.compile_schedule.__wrapped__(mrfs[0].topology, schedule)
-    layers = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs[: engine.TABLE_STORE_SIZE]]
+    layers = [(m.unary, _frozen_copy(m.pairwise)) for m in mrfs]
     with operators_on_every_step():
         inputs = engine.layer_inputs(compiled, layers)
     q0, tape = row_softmax(mrfs[0].unary), []
@@ -453,17 +464,32 @@ def test_transposed_operators_are_built_on_the_first_reverse_pass(problem):
             np.testing.assert_array_equal(op_t.toarray(), op.toarray().T)
 
 
-def test_table_store_is_bounded_and_skips_writable_arrays(rng):
+def test_stored_table_set_lives_as_long_as_its_array(rng):
+    """No count bounds the store: every live read-only array keeps its
+    table set, the store does not keep the array alive, and freeing the
+    array drops its entry."""
     topo = GraphTopology(n_vertices=4, edges=[(0, 1), (1, 2), (2, 3)])
-    compiled = engine.compile_schedule(topo, engine.raster_schedule(4))
-    store = compiled._table_inputs
+    compiled = engine.compile_schedule.__wrapped__(topo, engine.raster_schedule(4))
+    store, unary = compiled._table_inputs, rng.normal(size=(4, 2))
+    arrays = [_frozen_copy(rng.normal(size=(3, 2, 2))) for _ in range(9)]
+    first = engine.layer_inputs(compiled, [(unary, p) for p in arrays])
+    again = engine.layer_inputs(compiled, [(unary, p) for p in arrays])
+    assert sorted(store) == sorted(map(id, arrays))
+    assert all(b[1] is a[1] for a, b in zip(first, again))
+    freed = weakref.ref(arrays.pop())
+    assert freed() is None and len(store) == len(arrays)
+    del arrays[:]
+    assert not store
+
+
+def test_table_store_skips_writable_arrays_and_read_only_views(rng):
+    topo = GraphTopology(n_vertices=4, edges=[(0, 1), (1, 2), (2, 3)])
+    compiled = engine.compile_schedule.__wrapped__(topo, engine.raster_schedule(4))
     unary = rng.normal(size=(4, 2))
     writable = rng.normal(size=(3, 2, 2))
     engine.layer_inputs(compiled, [(unary, writable), (unary, _read_only_view(writable))])
-    assert not store
-    for _ in range(engine.TABLE_STORE_SIZE + 2):
-        engine.layer_inputs(compiled, [(unary, _frozen_copy(writable))])
-    assert len(store) == engine.TABLE_STORE_SIZE
+    engine.layer_inputs(compiled, [(unary, _read_only_view(_frozen_copy(writable)))])
+    assert not compiled._table_inputs
 
 
 def test_writable_pairwise_changed_in_place_is_not_served_stale(rng):

@@ -65,6 +65,13 @@ class TestForward:
         tied = forward(y, MfnParams.tied_from(up), 2, sched)
         assert np.max(np.abs(untied.q_final - tied.q_final)) > 0.5
 
+    def test_deep_untied_network_reuses_every_layers_tables(self, rng):
+        layers = [CrfParams(w=rng.normal(0, 0.3, 26), p_h=0.1 * m, p_v=-0.1 * m)
+                  for m in range(6)]
+        params, sched = MfnParams(tied=False, layers=layers), checkerboard_schedule(4, 5)
+        first, second = (forward(rng.random((4, 5)), params, 6, sched) for _ in range(2))
+        assert all(b[1] is a[1] for a, b in zip(first.inputs, second.inputs))
+
     def test_trace_deterministic_and_replayable(self, rng):
         y = rng.random((4, 6))
         params = MfnParams(tied=False, layers=[random_theta(rng) for _ in range(3)])
