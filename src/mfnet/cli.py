@@ -34,7 +34,12 @@ MAX_SWEEPS = 10**6  # mean field sweeps: one 8-byte list entry each, 8 MB
 # Network layers: per layer of an image, at most 820 KB (untied, checkerboard,
 # every layer its own tables: inputs, step operators and the transposes the
 # reverse pass stores, 256 KB of them; tape and reverse-pass gradients; 570 KB
-# on raster), 82 MB; one 100-layer forward and reverse pass measured 90 MB.
+# on raster), 82 MB; one 100-layer forward and reverse pass of one image, every
+# layer its own tables, measured 91 MB (63 MB on raster). A taped pass on the
+# image axis holds at most mfn.MAX_IMAGE_LAYERS = 12 images x layers, no more
+# than a 12-layer pass of one image: the raster train-mfn-inference --steps 1
+# on 8 images peaked 18 MB above import at 3 layers (4 images per pass) and
+# 54 MB at 100 layers (one image per pass).
 MAX_LAYERS = 100
 MAX_CHECK_SIZE = 100  # grad-check --size; the 100 x 100 check peaks near 80 MB of RSS
 # grad-check --max-layers; the untied checks grow with its cube (15 s at 10 and --size 6).
@@ -299,9 +304,9 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    traces = mfn.forward_each(_drain(pairs), params, args.iters, schedule)
-    for i, (y, x_hat, trace) in enumerate(traces):
-        pred = mfn.predict(trace).reshape(y.shape)
+    marginals = mfn.forward_each(_drain(pairs), params, args.iters, schedule)
+    for i, (y, x_hat, q) in enumerate(marginals):
+        pred = decode(q).reshape(y.shape)
         accs.append(data.pixel_accuracy(pred, x_hat))
         if out_dir:
             data.write_pgm(out_dir / f"pred_{i:03d}.pgm", pred * 255, 255)

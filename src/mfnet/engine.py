@@ -47,15 +47,16 @@ first reverse pass and kept with it), or per-message products scattered
 by `bincount`. Each kernel sums a row's terms from 0 in message order, so
 at K = 2 the two agree bit for bit.
 
-Image axis: the forward pass also runs N images at once that share one
-layer stack's tables and operators, each with its own unary and q0. q0
-is then (n, K, N), each layer's unary (K-1, n, N), and every per-site
-array of the pass gains the trailing image axis: a step's message sum is
-one product of its operator with N columns (scipy's `csr_matvecs`) or the
-`bincount` kernel once per image, and each softmax runs over all N
-images. Per image the product adds the same terms in the same order as
-for one image, and the softmax is elementwise, so each image gets the
-bits of its own run. The reverse pass and the tape stay one image.
+Image axis: both passes also run N images at once that share one layer
+stack's tables and operators, each with its own unary and q0. q0 is
+then (n, K, N), each layer's unary (K-1, n, N), and every per-site array
+of the passes, the tape's and the gradients included, gains the trailing
+image axis. A step's message sum is one product of its operator with N
+columns (scipy's `csr_matvecs`), or one `bincount` per label over
+`pos * N + image` bins; the reverse pass sums its read sites' gradients
+the same way, over `read_idx * N + image`. Per image either kernel adds
+the same terms in the same order as for one image, and the softmax and
+its reverse are elementwise, so each image gets the bits of its own run.
 
 Inside both passes the per-site arrays are in step order, the multicolour
 ordering of Gauss-Seidel: `compile_schedule` numbers the sites in the
@@ -192,6 +193,10 @@ class CompiledSchedule:
     # layer's tape reads.
     targets: np.ndarray
     read_pos: np.ndarray
+    # (2E,) every step's `pos` and `read_idx` side by side, in message
+    # order: each step's fields are slices of these.
+    pos: np.ndarray
+    read_idx: np.ndarray
     _table_inputs: dict = field(default_factory=dict, repr=False)
 
 
@@ -260,10 +265,12 @@ def compile_schedule(topology: GraphTopology, schedule: Schedule) -> CompiledSch
         for i, m in enumerate(map(slice, m_start[:-1], m_start[1:]))
     )
     message_of = np.argsort(order).reshape(2, E)
-    targets, read_pos = rank[topology.edges.T], inverse.reshape(-1)[message_of]
-    for a in (verts, rank, targets, read_pos):
+    targets = np.ascontiguousarray(rank[topology.edges.T])
+    read_pos = inverse.reshape(-1)[message_of]
+    for a in (verts, rank, targets, read_pos, pos, read_idx):
         a.flags.writeable = False
-    return CompiledSchedule(topology, steps, message_of, verts, rank, targets, read_pos)
+    return CompiledSchedule(topology, steps, message_of, verts, rank, targets, read_pos,
+                            pos, read_idx)
 
 
 @lru_cache(maxsize=None)
@@ -378,12 +385,21 @@ def layer_inputs(
     return [reduced_layer(compiled, u[1:] - u[0], p) for u, p in full]
 
 
+def image_bins(idx: np.ndarray, n_images: int) -> np.ndarray:
+    """Message indices `idx` (M,) as bins of an image axis: entry d * N + i
+    is idx[d] * N + i, so one `bincount` of (M, N) terms, raveled, sums
+    each image's terms in the order of `idx`, into (bins, N). int32, at
+    half the memory of the int64 `bincount` converts them to."""
+    return (idx[:, None] * n_images + np.arange(n_images)).reshape(-1).astype(np.int32)
+
+
 def block_activations(
     unary: np.ndarray,
     tables: np.ndarray,
     st: BlockStep,
     q_read: np.ndarray,
     op: Optional[csr_array] = None,
+    bins: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reduced activations (K-1, B) for the block's sites, given their rows
     of its layer's `reduced_layer` unary, (K-1, B), the layer's tables and
@@ -394,26 +410,27 @@ def block_activations(
     the unary plus its message sum, one addition.
 
     With an image axis, unary (K-1, B, N) and q_read (K-1, R, N), the
-    product takes the N columns at once; the `bincount` kernel runs once
-    per image."""
+    product takes the N columns at once, and each label's `bincount` runs
+    over `bins`, which is then `image_bins(st.pos, N)`."""
     if op is not None:
         q_cols = q_read.reshape(op.shape[1], *unary.shape[2:])
         return unary + (op @ q_cols).reshape(unary.shape)
-    if unary.ndim == 3:
-        cols = [
-            block_activations(unary[..., i], tables, st, q_read[..., i])
-            for i in range(unary.shape[2])
-        ]
-        return np.stack(cols, axis=2)
     tab, q_msg = tables[:, :, st.msgs], q_read.take(st.read_idx, axis=1)
+    if unary.ndim == 3:
+        tab = tab[..., None]
     # At K = 2 a loop over the K-1 read labels beats einsum (9 vs 13 us for
     # a 9,850-message step).
     msg = tab[:, 0] * q_msg[0]
     for l in range(1, len(q_msg)):
         msg += tab[:, l] * q_msg[l]
     a = np.empty(unary.shape)
+    if unary.ndim == 2:
+        for k in range(len(a)):
+            np.add(unary[k], np.bincount(st.pos, msg[k], minlength=a.shape[1]), out=a[k])
+        return a
     for k in range(len(a)):
-        np.add(unary[k], np.bincount(st.pos, msg[k], minlength=a.shape[1]), out=a[k])
+        sums = np.bincount(bins, msg[k].reshape(-1), minlength=a[k].size)
+        np.add(unary[k], sums.reshape(a.shape[1:]), out=a[k])
     return a
 
 
@@ -436,7 +453,8 @@ def reduced_softmax(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StepRecord:
     """One block step of a taped forward run: what the reverse pass reads.
-    Rows are labels 1..K-1; label 0's probability is one minus their sum."""
+    Rows are labels 1..K-1; label 0's probability is one minus their sum.
+    A run on an image axis adds it to both: (K-1, R, N) and (K-1, B, N)."""
 
     q_read_km: np.ndarray  # (K-1, R) q of the step's read sites
     q_out_km: np.ndarray   # (K-1, B) q the step wrote
@@ -471,17 +489,20 @@ def run_unrolled(
     tables, step operators) triples in step order; plain mean field
     passes the same triple M times.
     If `tape` is a list, one StepRecord per block step is appended for
-    the reverse pass, which takes one image.
+    the reverse pass, with the image axis of the run.
 
     A softmax term, or an activation before the last layer, that overflows
     is a limit, not an error, and raises no warning. Raises
     FloatingPointError when the final q or the last layer's activations
     are not finite.
     """
-    if tape is not None and np.ndim(q0) == 3:
-        raise ValueError("a taped run takes one image; q0 must be (n, K)")
     q = np.swapaxes(np.asarray(q0, dtype=np.float64), 0, 1)[1:].take(compiled.order, axis=1)
     a_final = np.zeros_like(q)
+    N = q.shape[2] if q.ndim == 3 else 0
+    # One bin array per pass, when a step has no operator; a step's bins
+    # are its slice of it.
+    small = any(op is None for _, _, ops in layers for op in ops)
+    bins = image_bins(compiled.pos, N) if N and small else None
     # Once per pass, not per step: entering errstate costs about 1 us.
     with np.errstate(over="ignore"):
         for m, (unary, tables, ops) in enumerate(layers):
@@ -489,7 +510,8 @@ def run_unrolled(
             for st, op in zip(compiled.steps, ops):
                 # `take` copies, so the tape can keep this read as it is.
                 q_read = q.take(st.reads, axis=1)
-                a = block_activations(unary[:, st.sites], tables, st, q_read, op)
+                st_bins = None if bins is None else bins[st.msgs.start * N : st.msgs.stop * N]
+                a = block_activations(unary[:, st.sites], tables, st, q_read, op, st_bins)
                 q_new = reduced_softmax(a)
                 if tape is not None:
                     tape.append(StepRecord(q_read, q_new))
@@ -527,19 +549,26 @@ def backward_unrolled(
     the (K-1, n) gradient with respect to labels 1..K-1 of q0 (label 0 is
     not read). `lift_gradients` pulls a layer's gradients back to its
     (n, K) unary and (E, K, K) pairwise arrays.
+
+    A tape of N images, as a run on the image axis records it, takes
+    (n, K, N) output gradients and gives every gradient a trailing image
+    axis; each image's columns are the bits of its own reverse pass.
     """
     n_layers, n_steps = len(inputs), len(compiled.steps)
     if not inputs:
         raise ValueError("the reverse pass needs at least one layer")
     if len(tape) != n_layers * n_steps:
         raise ValueError("tape length does not match layers and schedule")
-    n, order, K1 = compiled.topology.n_vertices, compiled.order, inputs[0][0].shape[0]
-    # A sweep updates every site once, so each entry is written once per layer.
-    dunary, dtables = [np.empty((K1, n)) for _ in range(n_layers)], [None] * n_layers
+    n, E, order = compiled.topology.n_vertices, compiled.topology.n_edges, compiled.order
+    K1, img = inputs[0][0].shape[0], inputs[0][0].shape[2:]  # img: () or (N,)
     # Column 0 of the output q is one minus the others.
-    g = None if gq_final is None else np.transpose(np.asarray(gq_final, dtype=np.float64))
-    gq = np.zeros((K1, n)) if g is None else (g[1:] - g[:1]).take(order, axis=1)
-    ga = np.transpose(ga_final)[1:].take(order, axis=1) if ga_final is not None else None
+    g = None if gq_final is None else np.swapaxes(np.asarray(gq_final, dtype=np.float64), 0, 1)
+    gq = np.zeros((K1, n, *img)) if g is None else (g[1:] - g[:1]).take(order, axis=1)
+    ga = np.swapaxes(ga_final, 0, 1)[1:].take(order, axis=1) if ga_final is not None else None
+    small = any(op is None for _, _, ops in inputs for op in ops)
+    bins = image_bins(compiled.read_idx, img[0]) if img and small else None
+    # A sweep updates every site once, so each entry is written once per layer.
+    dunary, dtables = [np.empty((K1, n, *img)) for _ in range(n_layers)], [None] * n_layers
     for m in range(n_layers - 1, -1, -1):
         _, tables, ops = inputs[m]
         records, du = tape[m * n_steps : (m + 1) * n_steps], dunary[m]
@@ -557,23 +586,38 @@ def backward_unrolled(
             # The read sites' gradient, through the forward's kernel choice;
             # row by row, as one 2-D indexed add takes twice the time.
             if op_t is not None:
-                g_read = (op_t @ da.reshape(-1)).reshape(K1, -1)
+                g_read = (op_t @ da.reshape(op_t.shape[1], *img)).reshape(K1, -1, *img)
                 for k in range(K1):
                     gq[k][st.reads] += g_read[k]
                 continue
             da_msg, tab = da.take(st.pos, axis=1), tables[:, :, st.msgs]
+            if img:
+                tab = tab[..., None]
             g_msg = tab[0] * da_msg[0]
             for k in range(1, K1):
                 g_msg += tab[k] * da_msg[k]
+            if not img:
+                for k in range(K1):
+                    gq[k][st.reads] += np.bincount(st.read_idx, g_msg[k], minlength=st.reads.size)
+                continue
+            st_bins, R = bins[st.msgs.start * img[0] : st.msgs.stop * img[0]], st.reads.size
             for k in range(K1):
-                gq[k][st.reads] += np.bincount(st.read_idx, g_msg[k], minlength=st.reads.size)
+                sums = np.bincount(st_bins, g_msg[k].reshape(-1), minlength=R * img[0])
+                gq[k][st.reads] += sums.reshape(R, *img)
         # Each message's table gradient is da[target] times the q it read; an
-        # edge sums its two, the one into its upper end transposed.
-        q_read = np.concatenate([rec.q_read_km for rec in records], axis=1)
-        da_e = du.take(compiled.targets, axis=1)
-        q_e = q_read.take(compiled.read_pos, axis=1)
-        dtables[m] = da_e[:, None, 0] * q_e[None, :, 0]
-        dtables[m] += q_e[:, None, 1] * da_e[None, :, 1]
+        # edge sums its two, the one into its upper end transposed. One image
+        # at a time, so the temporaries stay one image's size.
+        dt = dtables[m] = np.empty((K1, K1, E, *img))
+        # x[col] is x[..., i] for image i, or all of x when there is no image axis.
+        for col in [(..., i) for i in range(img[0])] if img else [...]:
+            q_read = np.concatenate([rec.q_read_km[col] for rec in records], axis=1)
+            # The lower ends' messages, then the upper ends': half-size temporaries.
+            da_e = du[col].take(compiled.targets[0], axis=1)
+            q_e = q_read.take(compiled.read_pos[0], axis=1)
+            np.multiply(da_e[:, None], q_e[None, :], out=dt[col])
+            da_e = du[col].take(compiled.targets[1], axis=1)
+            q_e = q_read.take(compiled.read_pos[1], axis=1)
+            dt[col] += q_e[:, None] * da_e[None, :]
     rank = compiled.rank
     return [d.take(rank, axis=1) for d in dunary], dtables, gq.take(rank, axis=1)
 

@@ -9,13 +9,17 @@ element-wise hinge loss on the final activations.
 
 `forward` and `backward` hand the engine the CRF's reduced inputs and
 take its reduced gradients with no `PairwiseMRF` in between;
-`forward_mrfs` is the graph-generic forward over explicit potentials.
+`forward_images` and `backward_images` do the same for images of one
+size in one pass on the engine's image axis, and `traced_chunks` runs a
+dataset that way where it pays (`images_per_pass`). `forward_mrfs` is
+the graph-generic forward over explicit potentials.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, List, Optional, Sequence, Tuple
+from itertools import groupby, islice
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +77,9 @@ class MfnParams:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Everything recorded during a forward pass that the reverse pass needs."""
+    """Everything recorded during a forward pass that the reverse pass needs.
+    A pass on N images adds a trailing image axis to q0, the tape and the
+    final q and activations."""
 
     compiled: CompiledSchedule
     inputs: list  # reduced engine inputs (unary, tables, step operators) of each layer
@@ -81,6 +87,14 @@ class ForwardTrace:
     tape: List[engine.StepRecord]
     q_final: np.ndarray
     a_final: np.ndarray
+
+    def per_image(self) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Each image's contiguous (n, K) final q and activations."""
+        if self.q_final.ndim == 2:
+            return [(self.q_final, self.a_final)]
+        return [(np.ascontiguousarray(self.q_final[..., i]),
+                 np.ascontiguousarray(self.a_final[..., i]))
+                for i in range(self.q_final.shape[2])]
 
 
 def forward(
@@ -95,16 +109,36 @@ def forward(
     whole run, are bit for bit what `forward_mrfs` builds from the layers'
     `build_mrf` models.
     """
+    return _forward([y], params, n_layers, schedule, image_axis=False)
+
+
+def forward_images(
+    ys: Sequence[np.ndarray], params: MfnParams, n_layers: int, schedule: Schedule
+) -> ForwardTrace:
+    """`forward` on images of one size: one image runs as `forward`; more
+    run as one engine pass on its image axis, whose trace holds q_final
+    and a_final (n, K, N) and a tape of N images. Each image's columns are
+    the bits of its own `forward`."""
+    if len(ys) == 1:
+        return forward(ys[0], params, n_layers, schedule)
+    return _forward(ys, params, n_layers, schedule, image_axis=True)
+
+
+def _forward(ys, params: MfnParams, n_layers: int, schedule: Schedule, image_axis: bool):
     if n_layers < 1:
         raise ValueError("need at least one layer")
     if not params.tied and len(params.layers) != n_layers:
         raise ValueError("untied parameters must provide one entry per layer")
-    y = np.asarray(y, dtype=np.float64)
-    h, w = y.shape
+    ys = [np.asarray(y, dtype=np.float64) for y in ys]
+    h, w = ys[0].shape
+    if any(y.shape != (h, w) for y in ys):
+        raise ValueError("the images of one pass must share one size")
     compiled = engine.compile_schedule(grid_graph(h, w), schedule)
-    phi = feature_matrix(y)
-    # One product per layer: one product over all layers rounds differently.
-    u1 = [phi @ p.w for p in params.layers]
+    phis = [feature_matrix(y) for y in ys]
+    # One product per layer and image: one product over all layers rounds
+    # differently. With an image axis the label-1 unaries are (n, N).
+    u1 = [np.stack([phi @ p.w for phi in phis], axis=1) if image_axis else phis[0] @ p.w
+          for p in params.layers]
     inputs = []
     for u, p in zip(u1, params.layers):
         if not (np.all(np.isfinite(u)) and np.isfinite(p.p_h) and np.isfinite(p.p_v)):
@@ -114,7 +148,8 @@ def forward(
         inputs *= n_layers
     with np.errstate(over="ignore"):  # e^{-a} overflowing gives q = 0, its limit
         q1 = engine.reduced_softmax(u1[0][None])
-    return _taped_run(compiled, inputs, np.stack([1.0 - q1[0], q1[0]], axis=1))
+    del u1  # not held through the pass
+    return _taped_run(compiled, inputs, np.stack([1.0 - q1[0], q1[0]], axis=1), q1)
 
 
 def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrace:
@@ -124,13 +159,16 @@ def forward_mrfs(mrfs: Sequence[PairwiseMRF], schedule: Schedule) -> ForwardTrac
         raise ValueError("all layers must share one topology")
     compiled = engine.compile_schedule(topo, schedule)
     inputs = engine.layer_inputs(compiled, [(m.unary, m.pairwise) for m in mrfs])
-    return _taped_run(compiled, inputs, row_softmax(mrfs[0].unary))
+    q0 = row_softmax(mrfs[0].unary)
+    return _taped_run(compiled, inputs, q0, q0.T[1:])
 
 
-def _taped_run(compiled, inputs, q0: np.ndarray) -> ForwardTrace:
+def _taped_run(compiled, inputs, q0: np.ndarray, reduced_q0: np.ndarray) -> ForwardTrace:
+    """The taped run from q0; the trace keeps `reduced_q0`, its labels
+    1..K-1 label-major, not all of q0."""
     tape: List[engine.StepRecord] = []
     q_final, a_final = engine.run_unrolled(inputs, q0, compiled, tape=tape)
-    return ForwardTrace(compiled, inputs, q0.T[1:], tape, q_final, a_final)
+    return ForwardTrace(compiled, inputs, reduced_q0, tape, q_final, a_final)
 
 
 def kl_grad_q(q: np.ndarray, target: PairwiseMRF) -> np.ndarray:
@@ -202,23 +240,48 @@ def backward(
     `engine.lift_gradients` sums them. q0 is the reduced softmax of the
     first layer's label-1 unary; its gradient folds into that unary alone.
     """
+    return _backward(trace, [y], params, gq_final, ga_final)[0]
+
+
+def backward_images(
+    trace: ForwardTrace,
+    ys: Sequence[np.ndarray],
+    params: MfnParams,
+    gq_final: Optional[np.ndarray] = None,
+    ga_final: Optional[np.ndarray] = None,
+) -> List[List[np.ndarray]]:
+    """`backward` on a `forward_images` trace of the N images `ys`, with
+    (n, K, N) loss gradients (N = 1 for a one-image trace): one reverse
+    pass, then each image's `backward` result, in order and with its bits."""
+    if trace.q_final.ndim == 2:
+        one = (None if g is None else g[..., 0] for g in (gq_final, ga_final))
+        return [backward(trace, ys[0], params, *one)]
+    return _backward(trace, ys, params, gq_final, ga_final)
+
+
+def _backward(trace: ForwardTrace, ys, params: MfnParams, gq_final, ga_final) -> list:
     if not params.tied and len(params.layers) != len(trace.inputs):
         raise ValueError("parameters do not match the trace")
     dunary, dtables, gq0 = engine.backward_unrolled(
         trace.compiled, trace.tape, trace.inputs, gq_final, ga_final
     )
-    y = np.asarray(y, dtype=np.float64)
-    d_penalty = [np.empty(dt.shape[-1]) for dt in dtables]
-    for du, dt, dp in zip(dunary, dtables, d_penalty):
-        for [(u_lo, u_hi)], [t, out] in crf.edge_views(*y.shape, [du[0]], [dt[0, 0], dp]):
-            np.add(t - u_lo - u_hi, t, out=out)
-    # After the penalties: no table reads q0, so its fold reaches only dw.
-    dunary[0] += trace.q0 * (gq0 - gq0 * trace.q0)
-
-    per_layer = [theta_gradient(y, du[0], dp) for du, dp in zip(dunary, d_penalty)]
-    if params.tied:
-        return [np.sum(per_layer, axis=0)]
-    return per_layer
+    # No table reads q0, so its fold reaches only dw: it is added after the
+    # penalty gradients have read the first layer's unary gradient.
+    fold = trace.q0 * (gq0 - gq0 * trace.q0)
+    out = []
+    for i, y in enumerate(ys):
+        # Each image's gradients as contiguous rows, as a one-image pass gives them.
+        pick = (lambda a: a) if len(ys) == 1 else (lambda a: np.ascontiguousarray(a[..., i]))
+        y = np.asarray(y, dtype=np.float64)
+        du = [pick(d[0]) for d in dunary]
+        d_penalty = [np.empty(dt.shape[2]) for dt in dtables]
+        for du_m, dt, dp in zip(du, dtables, d_penalty):
+            for [(u_lo, u_hi)], [t, o] in crf.edge_views(*y.shape, [du_m], [pick(dt[0, 0]), dp]):
+                np.add(t - u_lo - u_hi, t, out=o)
+        du[0] = du[0] + pick(fold[0])
+        per_layer = [theta_gradient(y, du_m, dp) for du_m, dp in zip(du, d_penalty)]
+        out.append([np.sum(per_layer, axis=0)] if params.tied else per_layer)
+    return out
 
 
 def predict(trace: ForwardTrace) -> np.ndarray:
@@ -291,16 +354,57 @@ def descend(
     return vec
 
 
-def forward_each(
-    dataset: Sequence[Tuple[np.ndarray, np.ndarray]],
+# Images per taped pass on a schedule with no stored operator (every step
+# below engine.SPARSE_MIN_MESSAGES messages, as on the raster schedule),
+# where a step's cost is mostly per-call overhead that the image axis
+# shares: crf.MF_CHUNK images, and at most MAX_IMAGE_LAYERS images x layers,
+# so that a pass holds no more than a 12-layer pass of one image and
+# cli.MAX_LAYERS' budget holds (4 images at 3 layers, 1 from 7 layers on).
+# On raster-kl (8 images, 3 layers; 2-core Xeon guest, 20-s runs)
+# train_step_s read 0.092 s at 1 image per pass, 0.078 at 2, 0.065 at 3,
+# 0.054 at 4 and 0.043 at 8, and peak RSS 72.2, 73.1, 74.4, 75.8 and
+# 81.5 MB: 4 is the most within 5% of one image's RSS. A schedule with an
+# operator step (the 50x100 checkerboard) runs one image per pass: there
+# 4-image hinge-train passes were about 8% slower and took 4 MB more.
+MAX_IMAGE_LAYERS = 12
+
+
+def images_per_pass(compiled: CompiledSchedule, n_layers: int) -> int:
+    """Images per taped pass of `n_layers` layers on `compiled` (see MAX_IMAGE_LAYERS)."""
+    if any(st.pos.size >= engine.SPARSE_MIN_MESSAGES for st in compiled.steps):
+        return 1
+    return max(1, min(crf.MF_CHUNK, MAX_IMAGE_LAYERS // n_layers))
+
+
+def traced_chunks(
+    pairs: Iterable[Tuple[np.ndarray, object]],
     params: MfnParams,
     n_layers: int,
     schedule: Optional[Schedule] = None,
 ):
-    """Yield (y, x_hat, trace) per image; the schedule defaults to checkerboard."""
-    for y, x_hat in dataset:
-        sched = schedule or checkerboard_schedule(*np.shape(y))
-        yield y, x_hat, forward(y, params, n_layers, sched)
+    """Yield (chunk, trace) in order: consecutive (y, extra) pairs of one
+    image size, `images_per_pass` at a time, and the `forward_images`
+    trace of their images, on `schedule` or by default each size's
+    checkerboard."""
+    for shape, group in groupby(pairs, key=lambda pair: np.shape(pair[0])):
+        sched = schedule or checkerboard_schedule(*shape)
+        size = images_per_pass(engine.compile_schedule(grid_graph(*shape), sched), n_layers)
+        while chunk := list(islice(group, size)):
+            yield chunk, forward_images([y for y, _ in chunk], params, n_layers, sched)
+
+
+def forward_each(
+    dataset: Iterable[Tuple[np.ndarray, np.ndarray]],
+    params: MfnParams,
+    n_layers: int,
+    schedule: Optional[Schedule] = None,
+):
+    """Yield (y, x_hat, q) per image, q its (n, K) final marginals, from
+    `traced_chunks`; the schedule defaults to checkerboard."""
+    for chunk, trace in traced_chunks(dataset, params, n_layers, schedule):
+        qs = [q for q, _ in trace.per_image()]
+        del trace  # freed before the next chunk's pass, not after it
+        yield from ((y, x_hat, q) for (y, x_hat), q in zip(chunk, qs))
 
 
 def mean_kl_to_targets(
@@ -312,13 +416,9 @@ def mean_kl_to_targets(
 ) -> float:
     """Mean unnormalized KL of the network output against per-image target models."""
     kls = []
-    for y, _, trace in forward_each(dataset, params, n_layers, schedule):
+    for y, _, q in forward_each(dataset, params, n_layers, schedule):
         target = build_mrf(y, target_theta)
-        kls.append(
-            unnormalized_kl_arrays(
-                trace.q_final, target.unary, target.pairwise, target.topology.edges
-            )
-        )
+        kls.append(unnormalized_kl_arrays(q, target.unary, target.pairwise, target.topology.edges))
     return float(np.mean(kls))
 
 
@@ -330,8 +430,8 @@ def mean_accuracy(
 ) -> float:
     """Mean per-pixel accuracy of argmax decoding over a dataset."""
     accs = [
-        float(np.mean(predict(trace) == np.asarray(x_hat).reshape(-1)))
-        for _, x_hat, trace in forward_each(dataset, params, n_layers, schedule)
+        float(np.mean(decode(q) == np.asarray(x_hat).reshape(-1)))
+        for _, x_hat, q in forward_each(dataset, params, n_layers, schedule)
     ]
     return float(np.mean(accs))
 
@@ -351,17 +451,20 @@ def train_inference(
     Targets are the per-image models built from theta_mf; the loss is the
     mean unnormalized KL of the network output against them.
     """
-    images = [(np.asarray(y, dtype=np.float64), x) for y, x in train_set]
-    targets = [build_mrf(y, theta_mf) for y, _ in images]
+    ys = [np.asarray(y, dtype=np.float64) for y, _ in train_set]
+    images = [(y, build_mrf(y, theta_mf)) for y in ys]  # each with its target model
 
     def objective(vec):
         params = MfnParams.from_vector(vec, tied=False, n_layers=n_layers)
         losses, grads = [], []
-        for (y, _, trace), t in zip(forward_each(images, params, n_layers, schedule), targets):
-            losses.append(
-                unnormalized_kl_arrays(trace.q_final, t.unary, t.pairwise, t.topology.edges)
-            )
-            grads.append(np.concatenate(backward(trace, y, params, kl_grad_q(trace.q_final, t))))
+        for chunk, trace in traced_chunks(images, params, n_layers, schedule):
+            gq = np.empty(trace.q_final.shape[:2] + (len(chunk),))
+            for i, ((q, _), (_, t)) in enumerate(zip(trace.per_image(), chunk)):
+                losses.append(unnormalized_kl_arrays(q, t.unary, t.pairwise, t.topology.edges))
+                gq[..., i] = kl_grad_q(q, t)
+            for g in backward_images(trace, [y for y, _ in chunk], params, gq_final=gq):
+                grads.append(np.concatenate(g))
+            del trace  # freed before the next chunk's pass, not after it
         loss = float(np.mean(losses))
         return loss, np.sum(grads, axis=0) / len(grads), {"loss": loss}
 
@@ -393,12 +496,15 @@ class DiscTrainResult:
 def _hinge_epoch(images, params, n_layers, schedule, c):
     """One full-batch pass: mean hinge loss, mean gradient and its log row fields."""
     losses, grads, accs = [], [], []
-    for y, x_hat, trace in forward_each(images, params, n_layers, schedule):
-        x_flat = np.asarray(x_hat).reshape(-1)
-        loss, ga = hinge_loss_grad(trace.a_final, x_flat, c)
-        losses.append(loss)
-        grads.append(backward(trace, y, params, ga_final=ga))
-        accs.append(float(np.mean(predict(trace) == x_flat)))
+    for chunk, trace in traced_chunks(images, params, n_layers, schedule):
+        ga = np.empty(trace.a_final.shape[:2] + (len(chunk),))
+        for i, ((q, a), (_, x_hat)) in enumerate(zip(trace.per_image(), chunk)):
+            x_flat = np.asarray(x_hat).reshape(-1)
+            loss, ga[..., i] = hinge_loss_grad(a, x_flat, c)
+            losses.append(loss)
+            accs.append(float(np.mean(decode(q) == x_flat)))
+        grads += backward_images(trace, [y for y, _ in chunk], params, ga_final=ga)
+        del trace  # freed before the next chunk's pass, not after it
     loss = float(np.mean(losses))
     layer_grads = np.sum(grads, axis=0) / len(grads)
     fields = {

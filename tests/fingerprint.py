@@ -12,7 +12,10 @@ schedules, 30-sweep mean field (q, the CRF likelihood gradient on theta at
 that q and `predict_mf`'s labels) and a 3-layer untied network (q,
 activations, and the hinge and KL gradients on theta); the 30-sweep
 checkerboard marginals of 10 seeded images, which
-`crf.mf_marginals_each` runs in chunks of `crf.MF_CHUNK`; raw forward and
+`crf.mf_marginals_each` runs in chunks of `crf.MF_CHUNK`, and the raster
+KL and hinge gradients on theta of the 3-layer network on the same
+images, which `mfn.traced_chunks` runs on the image axis (each of these
+three lines is the same with one image per chunk); raw forward and
 reverse engine outputs on seeded random graphs at K = 2, 3 and 4; the
 compiled step fields of both 50x100 schedules and of the random graphs;
 and raw reverse outputs of a 3-layer K = 3 network on a 30x30
@@ -88,6 +91,25 @@ def flat(arrays) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
+def chunked(theta: CrfParams) -> dict:
+    """The artefacts of 10 seeded images, more than one chunk: 30-sweep
+    checkerboard marginals, and the raster KL and hinge gradients on theta
+    of the `untied` network, one row per image."""
+    train, test = data.generate_dataset(n=5, seed=4)
+    pairs = [img.pair for img in train + test]
+    out = {f"meanfield{SWEEPS}.chunked.q": np.stack(
+        [q.probs for *_, q in mf_marginals_each(pairs, theta, SWEEPS)])}
+    params, kl, hinge = untied(theta), [], []
+    for chunk, trace in mfn.traced_chunks(pairs, params, LAYERS, GRID_SCHEDULES["raster"]):
+        ys, outputs = [y for y, _ in chunk], trace.per_image()
+        gq = [mfn.kl_grad_q(q, build_mrf(y, theta)) for (q, _), y in zip(outputs, ys)]
+        ga = [mfn.hinge_loss_grad(a, x)[1] for (_, a), (_, x) in zip(outputs, chunk)]
+        kl += mfn.backward_images(trace, ys, params, gq_final=np.stack(gq, axis=2))
+        hinge += mfn.backward_images(trace, ys, params, ga_final=np.stack(ga, axis=2))
+    out["kl.raster.chunked"], out["hinge.raster.chunked"] = np.array(kl), np.array(hinge)
+    return out
+
+
 def artefacts(theta: CrfParams | None = None) -> dict:
     """Every fingerprinted array by name; `theta` defaults to `theta0()`."""
     theta = theta or theta0()
@@ -106,11 +128,7 @@ def artefacts(theta: CrfParams | None = None) -> dict:
         out[f"hinge.{name}"] = np.array(mfn.backward(trace, y, params, ga_final=ga))
         gq = mfn.kl_grad_q(trace.q_final, target)
         out[f"kl.{name}"] = np.array(mfn.backward(trace, y, params, gq_final=gq))
-    # 10 images, more than one chunk.
-    train, test = data.generate_dataset(n=5, seed=4)
-    pairs = [img.pair for img in train + test]
-    out[f"meanfield{SWEEPS}.chunked.q"] = np.stack(
-        [q.probs for *_, q in mf_marginals_each(pairs, theta, SWEEPS)])
+    out.update(chunked(theta))
 
     rng = np.random.default_rng(1)
     compiled_fields = []

@@ -7,9 +7,10 @@ length `Timer.autorange` picks (at least 0.2 s), divided by its call
 count, or by that times its image or layer count for a row "per image"
 or "per layer". The inputs are those of `fingerprint.py`: its seeded
 50x100 letter image, `theta0()`, and a 3-layer untied network on the
-checkerboard schedule unless a row says raster; the chunk row runs
-`crf.MF_CHUNK` copies of the letter image through one `meanfield.run`,
-and the deep row a forward and hinge reverse pass of a DEEP_LAYERS-layer
+checkerboard schedule unless a row says raster; a chunk row runs
+`crf.MF_CHUNK` copies of the letter image through one `meanfield.run`, or
+through one `mfn.forward_images` and `mfn.backward_images` pass on the
+image axis, and the deep row a forward and hinge reverse pass of a DEEP_LAYERS-layer
 untied network, whose layers all keep their tables across calls while
 the Potts cache holds their arrays. BLAS is pinned to one thread, as in
 `perfbench`. On a shared host one row can move by a third between runs,
@@ -55,12 +56,18 @@ def rows() -> dict:
     u1 = target.unary[:, 1:].T - target.unary[:, 0]
     chunk = [build_mrf(y.copy(), theta) for _ in range(MF_CHUNK)]
     chunk_q0 = [softmax_init(m) for m in chunk]
+    raster, chunk_ys = GRID_SCHEDULES["raster"], [y.copy() for _ in range(MF_CHUNK)]
     deep = untied(theta, DEEP_LAYERS)
     deep_ga = mfn.hinge_loss_grad(mfn.forward(y, deep, DEEP_LAYERS, schedule).a_final, x_hat)[1]
 
     def deep_pass():
         t = mfn.forward(y, deep, DEEP_LAYERS, schedule)
         return mfn.backward(t, y, deep, ga_final=deep_ga)
+
+    def kl_pass(ys):
+        t = mfn.forward_images(ys, params, LAYERS, raster)
+        gq = [mfn.kl_grad_q(q, target) for q, _ in t.per_image()]
+        return mfn.backward_images(t, ys, params, gq_final=np.stack(gq, axis=2))
 
     def reverse(name, kl=False):
         t, g = traces[name], (gq[name], None) if kl else (None, ga[name])
@@ -85,6 +92,13 @@ def rows() -> dict:
         f"meanfield.run, {SWEEPS} sweeps": lambda: meanfield.run(target, q0, SWEEPS, schedule),
         f"meanfield.run, {SWEEPS} sweeps, chunk, per image": (
             lambda: meanfield.run(chunk, chunk_q0, SWEEPS, schedule), MF_CHUNK),
+        f"meanfield.run, {SWEEPS} sweeps, raster": lambda: meanfield.run(
+            target, q0, SWEEPS, raster),
+        f"meanfield.run, {SWEEPS} sweeps, raster, chunk, per image": (
+            lambda: meanfield.run(chunk, chunk_q0, SWEEPS, raster), MF_CHUNK),
+        "forward + KL backward, raster": lambda: kl_pass([y]),
+        "forward + KL backward, raster, chunk, per image": (
+            lambda: kl_pass(chunk_ys), MF_CHUNK),
         "crf.build_mrf": lambda: build_mrf(y, theta),
         "mrf.softmax_init": lambda: softmax_init(target),
         "crf.cl_gradient": lambda: cl_gradient(y, x_hat, q_mf),
@@ -112,9 +126,10 @@ def main(argv=None) -> int:
         parser.error(f"no row label contains {args.only!r}")
     print(f"# Python {sys.version.split()[0]}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; minimum of {args.repeats} repeats")
+    width = max(map(len, chosen))
     for label, row in chosen.items():
         call, count = row if isinstance(row, tuple) else (row, 1)
-        print(f"{label:<42} {per_call_us(call, args.repeats, count):10.1f} us")
+        print(f"{label:<{width}} {per_call_us(call, args.repeats, count):10.1f} us")
     return 0
 
 

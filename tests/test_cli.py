@@ -127,6 +127,36 @@ class TestChunks:
         assert len(json.loads(outputs[0][2])["per_image_kl"]) == 5
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
+    def test_mfn_outputs_do_not_depend_on_the_chunk_size(self, tmp_path, capsys, monkeypatch):
+        """On the raster schedule, whose steps have no stored operator, the
+        MFN trainers' parameters and logs and eval's output are the same
+        bytes for one image per taped pass, chunks of 2 on a 5-image split
+        and the default chunk (4, then 1)."""
+        assert main(["gen-data", "--out", str(tmp_path), "--seed", "7", "--n", "5"]) == 0
+        theta = tmp_path / "theta0.json"
+        theta.write_text(json.dumps(theta0().to_json_dict()))
+        capsys.readouterr()
+        train, test = str(tmp_path / "train"), str(tmp_path / "test")
+        outputs = []
+        for chunk in (1, 2, crf.MF_CHUNK):
+            monkeypatch.setattr(crf, "MF_CHUNK", chunk)
+            files = []
+            for command, flags in [("train-mfn-inference", ["--iters", "2", "--steps", "2"]),
+                                   ("train-mfn-disc", ["--layers", "2", "--phase1-steps", "1",
+                                                       "--phase2-steps", "1"])]:
+                model, log = tmp_path / f"{command}{chunk}.json", tmp_path / f"log{chunk}.jsonl"
+                code, _, _ = run_cli(capsys, command, "--params", str(theta), "--data", train,
+                                     "--out", str(model), "--log", str(log),
+                                     "--schedule", "raster", *flags)
+                assert code == 0
+                code, stdout, _ = run_cli(capsys, "eval", "--model", str(model), "--data", test,
+                                          "--iters", "2", "--schedule", "raster")
+                assert code == 0
+                files += [model.read_bytes(), log.read_bytes(), stdout]
+            outputs.append(files)
+        assert len(json.loads(outputs[0][2])["per_image_accuracy"]) == 5
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
 
 class TestEval:
     def test_writes_pgm_predictions(self, tiny_dataset, tmp_path, capsys):

@@ -12,7 +12,7 @@ from conftest import operators_on_every_step, problems, random_grid_mrf, replay
 from mfnet import engine, meanfield
 from mfnet.crf import grid_graph, theta0
 from mfnet.engine import Schedule, sequential_schedule
-from mfnet.mfn import MfnParams, forward, forward_mrfs
+from mfnet.mfn import MfnParams, forward, forward_mrfs, traced_chunks
 from mfnet.mrf import (
     FactorialDistribution,
     GraphTopology,
@@ -255,14 +255,52 @@ def test_run_unrolled_without_layers_returns_q0_and_zero_activations():
     np.testing.assert_array_equal(a, np.zeros((3, 2)))
 
 
-def test_taped_run_rejects_an_image_axis():
-    topo = GraphTopology(n_vertices=3, edges=[(0, 1)])
-    compiled = engine.compile_schedule(topo, engine.raster_schedule(3))
-    layers = engine.layer_inputs(compiled, [(np.zeros((3, 2, 2)), np.ones((1, 2, 2)))])
-    tape = []
-    with pytest.raises(ValueError, match="a taped run takes one image"):
-        engine.run_unrolled(layers, np.full((3, 2, 2), 0.5), compiled, tape=tape)
-    assert tape == []
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problems(), st.integers(2, 3), st.integers(0, 2**32 - 1))
+@example(_EDGELESS_PROBLEM, 2, 0)
+def _taped_images_run_as_one_batch(problem, n_images, seed):
+    """N images share the problem's layer stack, each with the layers'
+    unaries scaled by its own factor, its own q0 and its own output
+    gradients: a taped `run_unrolled` on the image axis, then
+    `backward_unrolled` on its tape, gives each image the bits of its own
+    one-image run, tape and reverse pass."""
+    mrfs, schedule = problem
+    compiled = engine.compile_schedule(mrfs[0].topology, schedule)
+    scales = 1.0 - 0.75 * np.arange(n_images)
+    layers = [(m.unary[..., None] * scales, m.pairwise) for m in mrfs]
+    q0 = np.stack([row_softmax(layers[-1][0][..., i]) for i in range(n_images)], axis=2)
+    gq, ga = np.random.default_rng(seed).normal(size=(2, *q0.shape))
+    inputs, tape = engine.layer_inputs(compiled, layers), []
+    q, a = engine.run_unrolled(inputs, q0, compiled, tape=tape)
+    assert len(tape) == len(layers) * len(compiled.steps)
+    dunary, dtables, gq0 = engine.backward_unrolled(compiled, tape, inputs, gq, ga)
+    for i in range(n_images):
+        one = [(u[..., i], p) for u, p in layers]
+        inputs_i, tape_i = engine.layer_inputs(compiled, one), []
+        q_i, a_i = engine.run_unrolled(inputs_i, np.ascontiguousarray(q0[..., i]), compiled,
+                                       tape=tape_i)
+        grads_i = engine.backward_unrolled(compiled, tape_i, inputs_i,
+                                           np.ascontiguousarray(gq[..., i]),
+                                           np.ascontiguousarray(ga[..., i]))
+        records = [x for rec in tape for x in (rec.q_read_km, rec.q_out_km)]
+        records_i = [x for rec in tape_i for x in (rec.q_read_km, rec.q_out_km)]
+        batch = [q, a, *records, *dunary, *dtables, gq0]
+        alone = [q_i, a_i, *records_i, *grads_i[0], *grads_i[1], grads_i[2]]
+        assert len(batch) == len(alone)
+        for x, y in zip(batch, alone):
+            assert x.shape[:-1] == y.shape and x[..., i].tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("threshold", [0, 10**9], ids=["operator on every step", "no operator"])
+def test_taped_images_equal_one_taped_run_and_reverse_pass_per_image(threshold, monkeypatch):
+    """K 2-4 problems, with every step's message sum a stored CSR product
+    and with none, so both kernels of both passes take the image axis."""
+    monkeypatch.setattr(engine, "SPARSE_MIN_MESSAGES", threshold)
+    engine.compile_schedule.cache_clear()
+    try:
+        _taped_images_run_as_one_batch()
+    finally:
+        engine.compile_schedule.cache_clear()
 
 
 def test_backward_rejects_a_tape_of_another_length():
@@ -593,9 +631,10 @@ def test_grid_messages_are_sorted_by_target_in_each_step(schedule_name):
 
 @pytest.mark.parametrize("schedule_name", ["checkerboard", "raster"])
 def test_step_fields_the_benchmark_reads(schedule_name, monkeypatch):
-    """A taped `mfn.forward` calls `engine.block_activations` once per
-    StepRecord, through the module attribute; the steps' `verts` count
-    every site once and their `e_lo` and `e_hi` every message once."""
+    """A taped `mfn.forward`, and a chunk of images on the image axis,
+    call `engine.block_activations` once per StepRecord, through the
+    module attribute; the steps' `verts` count every site once and their
+    `e_lo` and `e_hi` every message once."""
     h, w = 7, 9
     schedule = (engine.checkerboard_schedule(h, w) if schedule_name == "checkerboard"
                 else engine.raster_schedule(h * w))
@@ -608,8 +647,15 @@ def test_step_fields_the_benchmark_reads(schedule_name, monkeypatch):
 
     monkeypatch.setattr(engine, "block_activations", counted)
     params = MfnParams.tied_from(theta0()).untied_copy(3)
-    trace = forward(np.random.default_rng(3).random((h, w)), params, 3, schedule)
+    images = [np.random.default_rng(3 + i).random((h, w)) for i in range(3)]
+    trace = forward(images[0], params, 3, schedule)
     assert len(calls) == len(trace.tape) == 3 * len(trace.compiled.steps)
+    # No step of a 7x9 grid has a stored operator, so the three images run as one pass.
+    calls.clear()
+    [(chunk, batch)] = traced_chunks([(y, None) for y in images], params, 3, schedule)
+    assert len(chunk) == 3 and batch.q_final.shape == (h * w, 2, 3)
+    assert len(calls) == len(batch.tape) == 3 * len(batch.compiled.steps)
+    assert all(rec.q_out_km.shape[2] == 3 for rec in batch.tape)
     steps, topo = trace.compiled.steps, trace.compiled.topology
     assert sum(st.verts.size for st in steps) == topo.n_vertices
     assert sum(st.e_lo.size + st.e_hi.size for st in steps) == 2 * topo.n_edges

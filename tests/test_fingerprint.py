@@ -1,5 +1,6 @@
-"""`fingerprint.py` prints the same lines on every run, and a change of one
-unit in the last place of a Potts penalty shows in its gradient lines."""
+"""`fingerprint.py` prints the same lines on every run, its chunked lines
+are the same with one image per chunk, and a change of one unit in the
+last place of a Potts penalty shows in its gradient lines."""
 import importlib.util
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mfnet import crf
 from mfnet.crf import CrfParams, theta0
 
 SCRIPT = Path(__file__).with_name("fingerprint.py")
@@ -39,3 +41,10 @@ def test_a_perturbed_theta_changes_the_gradient_lines():
     gradients = {name for name in arts if name.startswith(("hinge.", "kl.", "cl."))}
     assert gradients and gradients <= changed
     assert not any(name.startswith(("compile.", "random.")) for name in changed)
+
+
+def test_chunked_lines_equal_one_image_per_chunk(monkeypatch):
+    theta = theta0()
+    chunks = fingerprint.lines(fingerprint.chunked(theta))
+    monkeypatch.setattr(crf, "MF_CHUNK", 1)
+    assert fingerprint.lines(fingerprint.chunked(theta)) == chunks
